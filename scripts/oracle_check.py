@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Finite-field sanity run: counts vs polynomial values at q = p.
 
-Builds a certified rigid module for each configuration and compares every
-subrepresentation count against the corresponding polynomial evaluated at
-the field size.
+Builds a certified rigid module for each configuration of the ``verify``
+oracle suites (``verify.FF_CONFIGS``) and compares every subrepresentation
+count against the corresponding polynomial evaluated at the field size.
 """
 
 import time
 
 from qkron import build_module, count_gr, gr_table
-
-CONFIGS = [(2, 4, 2), (2, 4, 3), (2, 5, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2), (3, 5, 2)]
+from qkron.verify import FF_CONFIGS
 
 
 def main():
-    for r, n, p in CONFIGS:
+    for r, n, p in FF_CONFIGS:
         t0 = time.perf_counter()
         mod = build_module(p, r, n)
         table = gr_table(r, n)

@@ -3,8 +3,16 @@
 Builds rigid modules of the r-arrow two-vertex quiver over F_p, certified by
 the endomorphism algebra being one-dimensional (which, at Euler form 1,
 forces vanishing self-extensions), then counts points of subrepresentation
-varieties and of image/preimage strata by direct subspace enumeration.
-The counts are compared elsewhere against polynomial evaluations at q = p.
+varieties and of image/preimage strata.  The counts are compared elsewhere
+against polynomial evaluations at q = p.
+
+Only the second vertex, the smaller one (d2 = c_{n-2} < d1 = c_{n-1}), is
+ever enumerated.  For each U in Gr_u(F_p^{d2}) the preimage dimension
+dim(intersection of phi_k^{-1}(U)) is d1 minus the rank of the rows
+w . phi_k, w running over a basis of the annihilator of U; so the
+annihilator is enumerated directly.  The subrepresentation counts then
+follow by Gaussian binomials, and the image-dimension histograms on the
+first vertex are solved from those counts by a unitriangular system.
 
 Subspaces are enumerated by reduced-echelon pivot patterns and never
 materialized into lists; over F_2 vectors are packed into integers.
@@ -100,43 +108,12 @@ def _rank_modp(rows, p: int) -> int:
     return rank
 
 
-def _nullspace_modp(rows, p: int, ncols: int):
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    mat = [[x % p for x in r] for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-mat[i][fc]) % p
-        basis.append(v)
-    return basis
-
-
 # -- subspace enumeration ------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
 def _num_subspaces(p: int, dim: int, k: int) -> int:
+    """|Gr_k(F_p^dim)|, the Gaussian binomial [dim choose k] at q = p."""
     return int(q_binomial(dim, k).evaluate(p))
 
 
@@ -281,102 +258,82 @@ def build_module(p: int, r: int, n: int, seed: int = 0, attempts: int = 1000) ->
 # -- counting -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _image_dim_hist(mod: FFModule, e1: int, cap: int):
-    """Histogram {dim(sum_k phi_k(U)) : U in Gr_{e1}(F_p^{d1})} -> count."""
-    if _num_subspaces(mod.p, mod.d1, e1) > cap:
-        raise BudgetExceeded(f"Gr_{e1}(F_{mod.p}^{mod.d1}) exceeds the cap {cap}")
-    hist: dict = {}
-    d1, d2, p = mod.d1, mod.d2, mod.p
-    if p == 2:
-        tables = []
-        for phi in mod.phis:
-            col = [0] * d1
-            for j in range(d1):
-                v = 0
-                for i in range(d2):
-                    if phi[i][j]:
-                        v |= 1 << i
-                col[j] = v
-            tbl = [0] * (1 << d1)
-            for bmask in range(1, 1 << d1):
-                low = bmask & (-bmask)
-                tbl[bmask] = tbl[bmask ^ low] ^ col[low.bit_length() - 1]
-            tables.append(tbl)
-        for basis in _iter_bases_gf2(d1, e1):
-            red = [0] * (d2 + 1)
-            dim = 0
-            for b in basis:
-                for tbl in tables:
-                    v = tbl[b]
-                    while v:
-                        h = v.bit_length() - 1
-                        w = red[h]
-                        if w:
-                            v ^= w
-                        else:
-                            red[h] = v
-                            dim += 1
-                            break
-                if dim == d2:
-                    break
-            hist[dim] = hist.get(dim, 0) + 1
-        return hist
-    for basis in _iter_bases_gfp(p, d1, e1):
-        vecs = []
-        for b in basis:
-            for phi in mod.phis:
-                vecs.append(
-                    tuple(
-                        sum(phi[i][j] * b[j] for j in range(d1)) % p
-                        for i in range(d2)
-                    )
-                )
-        dim = _rank_modp(vecs, p) if vecs else 0
-        hist[dim] = hist.get(dim, 0) + 1
-    return hist
+def _check_cap(mod: FFModule, u: int, cap: int) -> None:
+    if _num_subspaces(mod.p, mod.d2, u) > cap:
+        raise BudgetExceeded(f"Gr_{u}(F_{mod.p}^{mod.d2}) exceeds the cap {cap}")
 
 
 @lru_cache(maxsize=None)
 def _preimage_dim_hist(mod: FFModule, u: int, cap: int):
-    """Histogram {dim(intersection of phi_k^{-1}(U)) : U in Gr_u(F_p^{d2})}."""
-    if _num_subspaces(mod.p, mod.d2, u) > cap:
-        raise BudgetExceeded(f"Gr_{u}(F_{mod.p}^{mod.d2}) exceeds the cap {cap}")
+    """Histogram {dim(intersection of phi_k^{-1}(U)) : U in Gr_u(F_p^{d2})}.
+
+    U is enumerated through its annihilator W in Gr_{d2-u}(F_p^{d2}), and
+    the preimage has dimension d1 - rank{w . phi_k : w in a basis of W}.
+    """
+    _check_cap(mod, u, cap)
     hist: dict = {}
     d1, d2, p = mod.d1, mod.d2, mod.p
-    for basis in _iter_bases_gfp(p, d2, u):
-        functionals = _nullspace_modp(list(basis), p, d2) if basis else [
-            [1 if i == j else 0 for j in range(d2)] for i in range(d2)
+    # 0 < u < d2 enumerates at least 2^d2 - 1 subspaces, which bounds the
+    # tables by the cap; u = 0 and u = d2 have one subspace each.
+    if p == 2 and 0 < u < d2:
+        # tables[k][mask]: sum of the rows of phi_k selected by mask, as bits
+        tables = []
+        for phi in mod.phis:
+            rows = [sum(1 << j for j in range(d1) if phi[i][j]) for i in range(d2)]
+            tbl = [0] * (1 << d2)
+            for mask in range(1, 1 << d2):
+                low = mask & (-mask)
+                tbl[mask] = tbl[mask ^ low] ^ rows[low.bit_length() - 1]
+            tables.append(tbl)
+        for basis in _iter_bases_gf2(d2, d2 - u):
+            dim = d1 - _rank_gf2([tbl[w] for w in basis for tbl in tables])
+            hist[dim] = hist.get(dim, 0) + 1
+        return hist
+    for basis in _iter_bases_gfp(p, d2, d2 - u):
+        rows = [
+            tuple(sum(w[i] * phi[i][j] for i in range(d2)) % p for j in range(d1))
+            for w in basis
+            for phi in mod.phis
         ]
-        rows = []
-        for f in functionals:
-            for phi in mod.phis:
-                rows.append(
-                    tuple(
-                        sum(f[i] * phi[i][j] for i in range(d2)) % p
-                        for j in range(d1)
-                    )
-                )
-        dim = d1 - (_rank_modp(rows, p) if rows else 0)
+        dim = d1 - _rank_modp(rows, p)
         hist[dim] = hist.get(dim, 0) + 1
     return hist
+
+
+@lru_cache(maxsize=None)
+def _image_dim_hist(mod: FFModule, s: int, cap: int):
+    """Histogram {dim(sum_k phi_k(U)) : U in Gr_s(F_p^{d1})} -> count.
+
+    Nothing is enumerated on the first vertex.  Counting the pairs (U, U2)
+    with sum_k phi_k(U) inside U2 in Gr_u(F_p^{d2}) once by U and once by U2
+    gives, for u = 0..d2,
+
+        sum_{w <= u} h[w] [d2 - w choose u - w]_p = count_gr(s, u),
+
+    a unitriangular system in the histogram h, solved by forward
+    substitution in exact integers.
+    """
+    d2, p = mod.d2, mod.p
+    _check_cap(mod, d2 // 2, cap)  # the largest Gr_u(F_p^{d2}), before any enumeration
+    h: list = []
+    for u in range(d2 + 1):
+        pairs = count_gr(mod, s, u, cap)
+        h.append(pairs - sum(h[w] * _num_subspaces(p, d2 - w, u - w) for w in range(u)))
+    return {w: c for w, c in enumerate(h) if c}
 
 
 def count_gr(mod: FFModule, e1: int, e2: int, cap: int = DEFAULT_SUBSPACE_CAP) -> int:
     """Number of subrepresentations with dimension vector (e1, e2).
 
-    Only the first-vertex side is enumerated; for each U the subspaces at
-    the second vertex containing the image sum are counted by a Gaussian
-    binomial evaluated at p.
+    Only the second-vertex side is enumerated: for each U2 in
+    Gr_{e2}(F_p^{d2}) the subspaces at the first vertex inside the preimage
+    intersection, of dimension w, number [w choose e1]_p.  ``cap`` bounds
+    |Gr_{e2}(F_p^{d2})|.
     """
     if not 0 <= e1 <= mod.d1 or not 0 <= e2 <= mod.d2:
         raise InvalidParameter(f"({e1}, {e2}) outside the dimension box")
-    hist = _image_dim_hist(mod, e1, cap)
-    total = 0
-    for w, cnt in hist.items():
-        if w <= e2:
-            total += cnt * int(q_binomial(mod.d2 - w, e2 - w).evaluate(mod.p))
-    return total
+    hist = _preimage_dim_hist(mod, e2, cap)
+    return sum(cnt * _num_subspaces(mod.p, w, e1) for w, cnt in hist.items())
 
 
 SIDES = ("z", "zbar", "zp", "zpbar")
@@ -391,6 +348,11 @@ def count_strata(
     ``zbar``:  same with <= d2 - p_param
     ``zp``:    U in Gr_{d2-s}(M_2) with dim(intersection phi_k^{-1}(U)) = p_param
     ``zpbar``: same with >= p_param
+
+    The preimage sides enumerate Gr_{d2-s}(M_2).  The image sides are solved
+    from the counts ``count_gr(s, u)``, u = 0..d2 (see ``_image_dim_hist``),
+    which enumerate every Gr_u(M_2); ``cap`` bounds each enumerated
+    Grassmannian.
     """
     if side not in SIDES:
         raise InvalidParameter(f"side must be one of {SIDES}, got {side!r}")

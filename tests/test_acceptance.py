@@ -39,7 +39,10 @@ ZBAR_5_1 = {
 }
 
 BRIDGE_PAIRS = ((2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (4, 5), (5, 5))
-FF_CONFIGS = ((2, 4, 2), (2, 4, 3), (2, 5, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2), (3, 5, 2))
+FF_CONFIGS = (
+    (2, 4, 2), (2, 4, 3), (2, 5, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2), (3, 5, 2), (3, 5, 3),
+    (4, 5, 2), (5, 5, 2),
+)
 
 
 def _poly(table):

@@ -4,6 +4,9 @@ from qkron.cluster import gr_table
 from qkron.errors import BudgetExceeded, InvalidParameter
 from qkron.fforacle import (
     FFModule,
+    _iter_bases_gfp,
+    _preimage_dim_hist,
+    _rank_modp,
     build_module,
     count_gr,
     count_strata,
@@ -11,6 +14,7 @@ from qkron.fforacle import (
 )
 from qkron.qlaurent import q_binomial
 from qkron.strata import strata_from_gr
+from qkron.verify import FF_CONFIGS
 
 
 def test_build_m4_r2():
@@ -60,9 +64,30 @@ def test_count_gr_examples():
 
 
 def test_count_gr_budget():
+    # d = (8, 3): the cap bounds the enumerated Gr_2(F_2^3), 7 subspaces
     mod = build_module(2, 3, 5)
     with pytest.raises(BudgetExceeded):
-        count_gr(mod, 4, 2, cap=10)
+        count_gr(mod, 4, 2, cap=6)
+    # the image side needs every Gr_u(F_2^3) and refuses before enumerating any
+    before = _preimage_dim_hist.cache_info()
+    for side in ("z", "zbar"):
+        with pytest.raises(BudgetExceeded):
+            count_strata(mod, side, 0, 4, cap=6)
+    assert _preimage_dim_hist.cache_info() == before
+
+
+def test_count_gr_wide_second_vertex():
+    # d2 = 40: the one-point Grassmannians u = 0 and u = d2 need no 2^d2 table
+    phis = tuple(
+        tuple(tuple(int(i == k and j == k) for j in range(2)) for i in range(40))
+        for k in range(2)
+    )
+    mod = FFModule(2, 2, 0, 2, 40, phis)
+    assert count_gr(mod, 0, 0) == 1
+    assert count_gr(mod, 1, 0) == 0
+    assert count_gr(mod, 2, 40) == 1
+    with pytest.raises(BudgetExceeded):
+        count_gr(mod, 0, 1)
 
 
 def test_count_strata_examples():
@@ -93,6 +118,41 @@ def test_counts_match_polynomials_small():
         for e1 in range(table.d1 + 1):
             for e2 in range(table.d2 + 1):
                 assert count_gr(mod, e1, e2) == int(table.entry(e1, e2).evaluate(p))
+
+
+def test_image_strata_match_brute_force():
+    """The image-side histograms are solved from counts on the second vertex;
+    here they are rebuilt by enumerating Gr_s(F_p^{d1}) directly."""
+    for r, n, p in FF_CONFIGS:
+        mod = build_module(p, r, n)
+        if mod.d1 > 4:
+            continue
+        for s in range(mod.d1 + 1):
+            hist = {}
+            for basis in _iter_bases_gfp(p, mod.d1, s):
+                image = [
+                    tuple(sum(phi[i][j] * b[j] for j in range(mod.d1)) % p for i in range(mod.d2))
+                    for b in basis
+                    for phi in mod.phis
+                ]
+                dim = _rank_modp(image, p)
+                hist[dim] = hist.get(dim, 0) + 1
+            for pp in range(mod.d2 + 1):
+                assert count_strata(mod, "z", pp, s) == hist.get(mod.d2 - pp, 0), (r, n, p, pp, s)
+
+
+def test_counts_match_polynomials_r3_n6():
+    # d = (21, 8): 417,199 subspaces of F_2^8, against about 1e34 of F_2^21
+    mod = build_module(2, 3, 6)
+    table = gr_table(3, 6)
+    assert (mod.d1, mod.d2) == (table.d1, table.d2) == (21, 8)
+    for e1 in range(table.d1 + 1):
+        for e2 in range(table.d2 + 1):
+            assert count_gr(mod, e1, e2) == int(table.entry(e1, e2).evaluate(2)), (e1, e2)
+    e2 = 3
+    st = strata_from_gr(table, e2)
+    for p0 in range(table.d1 + 1):
+        assert count_strata(mod, "zp", p0, table.d2 - e2) == int(st.zp(p0).evaluate(2))
 
 
 def test_certificate_stability():
