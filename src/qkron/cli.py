@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ class RunConfig:
     budget: int = families.DEFAULT_FAMILY_BUDGET
     max_terms: int = cluster.DEFAULT_MAX_TERMS
     seed: int = 0
-    workers: int = 1
     fmt: str = "text"
     output: str | None = None
     list_items: bool = False
@@ -61,12 +59,6 @@ def _build_parser():
             sp.add_argument("--n", type=int, default=None, help="index in the cluster sequence")
         sp.add_argument("--format", dest="fmt", choices=("text", "json"), default=None)
         sp.add_argument("--output", default=None, help="write the document to this path")
-        sp.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker cap (execution is sequential and deterministic)",
-        )
 
     common(sub.add_parser("cn", help="dimension sequence value c_n"))
 
@@ -96,7 +88,6 @@ def _build_parser():
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--format", dest="fmt", choices=("text", "json"), default=None)
     sp.add_argument("--output", default=None)
-    sp.add_argument("--workers", type=int, default=None)
 
     sp = sub.add_parser("ffcount", help="finite-field subrepresentation count")
     common(sp)
@@ -124,13 +115,6 @@ def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
     cfg.fmt = getattr(args, "fmt", None) or "text"
     cfg.output = getattr(args, "output", None)
-    env_workers = os.environ.get("QKRON_WORKERS")
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = int(env_workers) if env_workers else 1
-    if workers < 1:
-        raise InvalidParameter("--workers must be at least 1")
-    cfg.workers = workers
     if getattr(args, "r", None) is not None:
         cfg.r, cfg.has_r = args.r, True
     if getattr(args, "n", None) is not None:

@@ -32,7 +32,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from .qlaurent import QLaurent, c_sequence
+from .qlaurent import QLaurent, _shift_add, c_sequence
 from .torus import TorusElement, word_to_torus
 
 DEFAULT_FAMILY_BUDGET = 30_000_000
@@ -296,20 +296,28 @@ def _dp_tables(path: DyckPath) -> _DpTables:
     return _DpTables(path)
 
 
-def _count_suffix(path: DyckPath) -> int:
+def _scan(path: DyckPath, leaf, new, add):
+    """Fold the suffix sum of every scan state, memoized on the state.
+
+    ``leaf`` is the value past the last edge, ``new()`` an empty total, and
+    ``add(total, blk, sub)`` returns the total after adding the suffix value
+    ``sub`` behind the block ``blk`` (the first edge kept free, or an element
+    starting at the position).
+    """
     tb = _dp_tables(path)
     memo: dict = {}
 
     def rec(pos, mask, flag):
         if pos > tb.N:
-            return 1
+            return leaf
         mask &= tb.relevant[pos]
         flag = flag and tb.flag_rel[pos]
         key = (pos, mask, flag)
         got = memo.get(key)
         if got is not None:
             return got
-        total = rec(pos + 1, (mask << 1) & tb.full, False)
+        free = rec(pos + 1, (mask << 1) & tb.full, False)
+        total = add(new(), tb.default_blk[pos], free)
         for el in tb.by_lo.get(pos, ()):
             if el.subpath and el.bluegreen and flag:
                 continue
@@ -317,57 +325,27 @@ def _count_suffix(path: DyckPath) -> int:
                 continue
             span = el.hi - el.lo + 1
             nmask = ((mask << span) | ((1 << span) - 1)) & tb.full
-            total += rec(el.hi + 1, nmask, el.subpath)
+            total = add(total, el.blk, rec(el.hi + 1, nmask, el.subpath))
         memo[key] = total
         return total
 
     return rec(1, 0, False)
 
 
-def _accum(out: dict, blk: tuple, sub: dict):
+def _count_suffix(path: DyckPath) -> int:
+    return _scan(path, 1, int, lambda total, blk, sub: total + sub)
+
+
+def _accum(out: dict, blk: tuple, sub: dict) -> dict:
+    """Add the block (A1, B1, e1) times every suffix monomial into out."""
     A1, B1, e1 = blk
     for (A2, B2), cd in sub.items():
-        key = (A1 + A2, B1 + B2)
-        sh = e1 - 2 * B1 * A2
-        tgt = out.get(key)
-        if tgt is None:
-            tgt = out[key] = {}
-        for k2, c in cd.items():
-            kk = k2 + sh
-            nc = tgt.get(kk, 0) + c
-            if nc:
-                tgt[kk] = nc
-            else:
-                del tgt[kk]
+        _shift_add(out.setdefault((A1 + A2, B1 + B2), {}), cd, e1 - 2 * B1 * A2)
+    return out
 
 
 def _monomial_suffix(path: DyckPath) -> dict:
-    tb = _dp_tables(path)
-    memo: dict = {}
-
-    def rec(pos, mask, flag):
-        if pos > tb.N:
-            return {(0, 0): {0: 1}}
-        mask &= tb.relevant[pos]
-        flag = flag and tb.flag_rel[pos]
-        key = (pos, mask, flag)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        out: dict = {}
-        _accum(out, tb.default_blk[pos], rec(pos + 1, (mask << 1) & tb.full, False))
-        for el in tb.by_lo.get(pos, ()):
-            if el.subpath and el.bluegreen and flag:
-                continue
-            if el.window and not (mask & ((1 << min(el.window, pos - 1)) - 1)):
-                continue
-            span = el.hi - el.lo + 1
-            nmask = ((mask << span) | ((1 << span) - 1)) & tb.full
-            _accum(out, el.blk, rec(el.hi + 1, nmask, el.subpath))
-        memo[key] = out
-        return out
-
-    return rec(1, 0, False)
+    return _scan(path, {(0, 0): {0: 1}}, dict, _accum)
 
 
 def count_families(r: int, n: int) -> int:

@@ -29,6 +29,77 @@ except ImportError:  # pragma: no cover - exercised via an explicit test stub
 # in cluster-variable recursions.
 _SCHOOLBOOK_LIMIT = 96
 
+# -- the coefficient kernel ------------------------------------------------
+#
+# Coefficients are {doubled exponent: int} dicts with no zero values.  These
+# helpers are the only places that add such dicts, multiply them, or pack
+# them into big integers; the torus and the family scan call them too.
+
+
+def _shift_add(tgt: dict, src: dict, shift: int = 0, scale: int = 1) -> dict:
+    """Add scale * q^(shift/2) * src into tgt in place, dropping the
+    coefficients that cancel; returns tgt."""
+    items = src.items() if scale == 1 else ((k, c * scale) for k, c in src.items())
+    get = tgt.get
+    for k, c in items:
+        k += shift
+        c += get(k, 0)
+        if c:
+            tgt[k] = c
+        else:
+            del tgt[k]
+    return tgt
+
+
+def _mul_dicts(a: dict, b: dict) -> dict:
+    """Schoolbook product: one shifted, scaled copy of the longer operand
+    per term of the shorter."""
+    if len(a) > len(b):
+        a, b = b, a
+    t: dict = {}
+    for ka, ca in a.items():
+        _shift_add(t, b, ka, ca)
+    return t
+
+
+def _digit_width(bound: int) -> int:
+    """Bytes per packed digit so that every |digit| <= bound stays below
+    half the digit base, which makes the balanced decode exact."""
+    return (bound.bit_length() + 2 + 7) // 8
+
+
+def _pack(t: dict, lo: int, length: int, width: int):
+    """The digits t[lo + i], i < length, evaluated at 2^(8*width): one big
+    integer (an mpz when gmpy2 is present)."""
+    pos = bytearray(length * width)
+    neg = bytearray(length * width)
+    for k, c in t.items():
+        off = (k - lo) * width
+        if c > 0:
+            pos[off : off + width] = c.to_bytes(width, "little")
+        else:
+            neg[off : off + width] = (-c).to_bytes(width, "little")
+    return _mpz(int.from_bytes(pos, "little") - int.from_bytes(neg, "little"))
+
+
+def _unpack(val, lo: int, length: int, width: int) -> dict:
+    """Balanced-digit decode of a packed value into {lo + i: digit}.
+
+    Adding half the base to every digit makes all digits nonnegative
+    without carries (|digit| < half), so the byte string of the shifted
+    value can be read windowwise.  A digit outside that bound leaves the
+    shifted value outside [0, base^length) when it is the top digit.
+    """
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((b"\x00" * (width - 1) + b"\x80") * length, "little")
+    shifted = int(val + offset)
+    if shifted < 0 or shifted.bit_length() > 8 * width * length:
+        raise AssertionError("packed multiplication exceeded its digit bound")
+    raw = shifted.to_bytes(length * width, "little")
+    frm = int.from_bytes
+    digits = [frm(raw[i : i + width], "little") for i in range(0, length * width, width)]
+    return {lo + i: c - half for i, c in enumerate(digits) if c != half}
+
 
 class QLaurent:
     """Sparse Laurent polynomial in q^(1/2) with integer coefficients."""
@@ -140,14 +211,7 @@ class QLaurent:
         a, b = self._t, other._t
         if len(a) < len(b):
             a, b = b, a
-        t = dict(a)
-        for k, c in b.items():
-            nc = t.get(k, 0) + c
-            if nc:
-                t[k] = nc
-            else:
-                del t[k]
-        return QLaurent._raw(t)
+        return QLaurent._raw(_shift_add(dict(a), b))
 
     __radd__ = __add__
 
@@ -168,16 +232,7 @@ class QLaurent:
         if not a or not b:
             return QLaurent.zero()
         if len(a) * len(b) <= _SCHOOLBOOK_LIMIT:
-            t = {}
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    nc = t.get(k, 0) + ca * cb
-                    if nc:
-                        t[k] = nc
-                    else:
-                        t.pop(k, None)
-            return QLaurent._raw(t)
+            return QLaurent._raw(_mul_dicts(a, b))
         return self._mul_packed(a, b)
 
     __rmul__ = __mul__
@@ -196,51 +251,12 @@ class QLaurent:
         lb = bmax - bmin + 1
         if la * lb > 64 * len(a) * len(b):
             # Very sparse with huge gaps: fall back to the dict loop.
-            t = {}
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    nc = t.get(k, 0) + ca * cb
-                    if nc:
-                        t[k] = nc
-                    else:
-                        t.pop(k, None)
-            return QLaurent._raw(t)
+            return QLaurent._raw(_mul_dicts(a, b))
         maxa = max(abs(c) for c in a.values())
         maxb = max(abs(c) for c in b.values())
-        bound = maxa * maxb * min(len(a), len(b))
-        bits = ((bound.bit_length() + 2 + 7) // 8) * 8
-        width = bits // 8
-
-        def pack(terms, kmin, length):
-            pos = bytearray(length * width)
-            neg = bytearray(length * width)
-            for k, c in terms.items():
-                off = (k - kmin) * width
-                if c > 0:
-                    pos[off : off + width] = c.to_bytes(width, "little")
-                else:
-                    neg[off : off + width] = (-c).to_bytes(width, "little")
-            return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-        prod = _mpz(pack(a, amin, la)) * _mpz(pack(b, bmin, lb))
-        # Balanced-digit decode in one pass: adding `half` to every digit
-        # makes all digits nonnegative without carries (|digit| < half), so
-        # the byte string of the shifted product can be read windowwise.
-        length = la + lb - 1
-        half = 1 << (bits - 1)
-        offset = int.from_bytes((b"\x00" * (width - 1) + b"\x80") * length, "little")
-        shifted = int(prod + offset)
-        if shifted < 0:
-            raise AssertionError("packed multiplication exceeded its digit bound")
-        raw = shifted.to_bytes(length * width, "little")
-        t = {}
-        kmin = amin + bmin
-        for i in range(length):
-            c = int.from_bytes(raw[i * width : (i + 1) * width], "little") - half
-            if c:
-                t[kmin + i] = c
-        return QLaurent._raw(t)
+        width = _digit_width(maxa * maxb * min(len(a), len(b)))
+        prod = _pack(a, amin, la, width) * _pack(b, bmin, lb, width)
+        return QLaurent._raw(_unpack(prod, amin + bmin, la + lb - 1, width))
 
     def __pow__(self, e: int) -> "QLaurent":
         if not isinstance(e, int) or e < 0:
@@ -278,24 +294,34 @@ class QLaurent:
         v = Fraction(v)
         if not self._t:
             return Fraction(0)
-        if not self.is_integral():
+        if self.is_integral():
+            # the terms are c * v^e with e = k2 / 2
+            a, b, step = v.numerator, v.denominator, 2
+        else:
             if v <= 0:
                 raise NonIntegralEvaluation(
                     "half-integer exponents require a positive perfect square"
                 )
-            ns = math.isqrt(v.numerator)
-            ds = math.isqrt(v.denominator)
-            if ns * ns != v.numerator or ds * ds != v.denominator:
+            a = math.isqrt(v.numerator)
+            b = math.isqrt(v.denominator)
+            if a * a != v.numerator or b * b != v.denominator:
                 raise NonIntegralEvaluation(
                     f"{v} is not the square of a rational"
                 )
-            root = Fraction(ns, ds)
-            if min(self._t) < 0 and root == 0:
-                raise InvalidParameter("negative exponent at q = 0")
-            return sum((c * root**k2 for k2, c in self._t.items()), Fraction(0))
-        if v == 0 and min(self._t) < 0:
+            # the terms are c * (a/b)^e with e = k2
+            step = 1
+        terms = [(k2 // step, c) for k2, c in self._t.items()]
+        lo = min(e for e, _ in terms)
+        hi = max(e for e, _ in terms)
+        if a == 0 and lo < 0:
             raise InvalidParameter("negative exponent at q = 0")
-        return sum((c * v ** (k2 // 2) for k2, c in self._t.items()), Fraction(0))
+        # sum c * (a/b)^e = (a^lo / b^hi) * sum c * a^(e-lo) * b^(hi-e),
+        # so the sum stays in integers and one Fraction is built at the end
+        total = sum(c * a ** (e - lo) * b ** (hi - e) for e, c in terms)
+        return Fraction(
+            total * a ** max(lo, 0) * b ** max(-hi, 0),
+            b ** max(hi, 0) * a ** max(-lo, 0),
+        )
 
     def compress_power(self, r: int) -> "QLaurent":
         """Return P with P(q^r) equal to this polynomial.

@@ -12,7 +12,7 @@ x^a y^b lands on q^((a-b)/2) * X1^a * X2^b.
 from __future__ import annotations
 
 from .errors import DivisionFailed, InvalidParameter
-from .qlaurent import ONE, QLaurent, _mpz
+from .qlaurent import ONE, QLaurent, _digit_width, _pack, _shift_add, _unpack
 
 WordMonomial = tuple  # (a, b): the ordered word x^a y^b
 
@@ -133,19 +133,8 @@ class TorusElement:
         acc: dict = {}
         for (a1, b1), c1 in self._t.items():
             for (a2, b2), c2 in other._t.items():
-                prod = c1 * c2
-                sh = -2 * b1 * a2
-                key = (a1 + a2, b1 + b2)
-                tgt = acc.get(key)
-                if tgt is None:
-                    tgt = acc[key] = {}
-                for k2, c in prod._t.items():
-                    kk = k2 + sh
-                    nc = tgt.get(kk, 0) + c
-                    if nc:
-                        tgt[kk] = nc
-                    else:
-                        del tgt[kk]
+                tgt = acc.setdefault((a1 + a2, b1 + b2), {})
+                _shift_add(tgt, (c1 * c2)._t, -2 * b1 * a2)
         return TorusElement._raw(
             {k: QLaurent._raw(d) for k, d in acc.items() if d}
         )
@@ -231,23 +220,12 @@ def _mul_large(t1: dict, t2: dict) -> TorusElement:
     maxnnz1 = max(len(q_._t) for q_ in t1.values())
     maxnnz2 = max(len(q_._t) for q_ in t2.values())
     bound = maxc1 * maxc2 * min(maxnnz1, maxnnz2) * min(len(t1), len(t2))
-    bits = ((bound.bit_length() + 2 + 7) // 8) * 8
-    width = bits // 8
-    half = 1 << (bits - 1)
+    width = _digit_width(bound)
+    bits = 8 * width
 
     def pack(ql):
-        lo = min(ql._t)
-        hi = max(ql._t)
-        pos = bytearray((hi - lo + 1) * width)
-        neg = bytearray((hi - lo + 1) * width)
-        for k2, c in ql._t.items():
-            off = (k2 - lo) * width
-            if c > 0:
-                pos[off : off + width] = c.to_bytes(width, "little")
-            else:
-                neg[off : off + width] = (-c).to_bytes(width, "little")
-        val = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-        return _mpz(val), lo, hi
+        lo, hi = min(ql._t), max(ql._t)
+        return _pack(ql._t, lo, hi - lo + 1, width), lo, hi
 
     packed1 = [(a, b, *pack(c)) for (a, b), c in t1.items()]
     packed2 = [(a, b, *pack(c)) for (a, b), c in t2.items()]
@@ -271,22 +249,8 @@ def _mul_large(t1: dict, t2: dict) -> TorusElement:
             if top > cur[2]:
                 cur[2] = top
     out = {}
-    offsets: dict = {}
     for key, (val, base, top) in acc.items():
-        if not val:
-            continue
-        length = top - base + 1
-        offset = offsets.get(length)
-        if offset is None:
-            offset = offsets[length] = int.from_bytes(
-                (b"\x00" * (width - 1) + b"\x80") * length, "little"
-            )
-        raw = memoryview(int(val + offset).to_bytes(length * width, "little"))
-        d = {}
-        for i in range(length):
-            c = int.from_bytes(raw[i * width : (i + 1) * width], "little") - half
-            if c:
-                d[base + i] = c
+        d = _unpack(val, base, top - base + 1, width)
         if d:
             out[key] = QLaurent._raw(d)
     return TorusElement._raw(out)
@@ -354,20 +318,10 @@ def left_divide(d: TorusElement, n: TorusElement) -> TorusElement:
         if (az, bz) in quot:
             raise AssertionError("duplicate quotient exponent in left_divide")
         quot[(az, bz)] = cz
+        # subtract d * cz X1^az X2^bz from the remainder
+        neg_cz = -cz
         for (a1, b1), c1 in dterms:
-            prod = c1 * cz
-            psh = -2 * b1 * az
             key = (a1 + az, b1 + bz)
-            tgt = rem.get(key)
-            if tgt is None:
-                tgt = rem[key] = {}
-            for k2, c in prod._t.items():
-                kk = k2 + psh
-                nc = tgt.get(kk, 0) - c
-                if nc:
-                    tgt[kk] = nc
-                else:
-                    del tgt[kk]
-            if not tgt:
+            if not _shift_add(rem.setdefault(key, {}), (c1 * neg_cz)._t, -2 * b1 * az):
                 del rem[key]
     raise DivisionFailed("division did not terminate within the support box")

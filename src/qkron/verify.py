@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import cluster, families, fforacle, strata
 from .dyck import Color, build_dyck, classify
+from .errors import InvalidParameter
 from .qlaurent import ONE, QLaurent, c_sequence, q_binomial
 from .torus import TorusElement, left_divide, word_to_torus
 
@@ -197,7 +198,9 @@ def suite_torus(cases: int = 200, seed: int = 20240, **_):
 
 
 def suite_bridge(r: int | None = None, n: int | None = None, **_):
-    pairs = BRIDGE_PAIRS if r is None or n is None else ((r, n),)
+    if (r is None) != (n is None):
+        raise InvalidParameter("--r and --n go together: give both or neither")
+    pairs = BRIDGE_PAIRS if r is None else ((r, n),)
     checks = []
     for rr, nn in pairs:
         lhs = families.xvar_enum(rr, nn)

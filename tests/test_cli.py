@@ -125,6 +125,13 @@ def test_verify_bridge_single_pair(capsys):
     assert out.startswith("ok bridge:")
 
 
+def test_verify_bridge_needs_both_r_and_n(capsys):
+    for flag in ("--r", "--n"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "bridge", flag, "2")
+        assert code == 2 and "InvalidParameter" in err
+        assert "--r and --n go together" in json.loads(out)["message"]
+
+
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0
@@ -157,8 +164,3 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "8\n"
-
-
-def test_workers_flag_validation(capsys):
-    code, _, err = run_cli(capsys, "cn", "--r", "2", "--n", "4", "--workers", "0")
-    assert code == 2 and "workers" in err

@@ -136,6 +136,15 @@ def test_evaluate_examples():
         QLaurent.q_power(1).evaluate(2)
     with pytest.raises(NonIntegralEvaluation):
         QLaurent.q_power(3).evaluate(-4)
+    # mixed signs, negative and half exponents, against a per-term Fraction sum
+    half = QLaurent({-5: 3, -2: -7, 0: 2, 3: -1, 8: 11})
+    whole = QLaurent({-6: -4, -2: 9, 2: -2, 10: 5})
+    for v, root in ((4, 2), (Fraction(9, 4), Fraction(3, 2))):
+        want = sum((c * Fraction(root) ** k2 for k2, c in half.items2()), Fraction(0))
+        assert half.evaluate(v) == want
+    for v in (3, Fraction(-2, 5)):
+        want = sum((c * Fraction(v) ** (k2 // 2) for k2, c in whole.items2()), Fraction(0))
+        assert whole.evaluate(v) == want
 
 
 def test_compress_power():
@@ -169,16 +178,41 @@ def test_mul_against_schoolbook(a, b):
     assert a * b == QLaurent(expected)
 
 
-def test_packed_mul_large_signed():
+def test_packed_mul_large_signed(monkeypatch):
+    import qkron.qlaurent as qlmod
+
     # force the packed path with mixed-sign dense operands
     a = QLaurent({2 * i: (i % 5) - 2 for i in range(60)})
     b = QLaurent({2 * i: (i % 7) - 3 for i in range(45)})
-    expected = {}
-    for ka, ca in a.items2():
-        for kb, cb in b.items2():
-            k = ka + kb
-            expected[k] = expected.get(k, 0) + ca * cb
-    assert a * b == QLaurent(expected)
+    # too sparse to pack: wide gaps send the product to the dict fallback
+    c = QLaurent({1000 * i - 3: (-1) ** i * (i + 1) ** 9 for i in range(13)})
+    d = QLaurent({700 * i + 1: (i % 4) - 2 for i in range(10) if i % 4 != 2})
+    assert c.num_terms() * d.num_terms() > qlmod._SCHOOLBOOK_LIMIT
+    dict_products = []
+    mul_dicts = qlmod._mul_dicts
+    monkeypatch.setattr(
+        qlmod, "_mul_dicts", lambda x, y: dict_products.append(1) or mul_dicts(x, y)
+    )
+    for x, y, packed in ((a, b, True), (c, d, False)):
+        expected = {}
+        for kx, cx in x.items2():
+            for ky, cy in y.items2():
+                k = kx + ky
+                expected[k] = expected.get(k, 0) + cx * cy
+        dict_products.clear()
+        assert x * y == QLaurent(expected)
+        assert dict_products == ([] if packed else [1])
+
+
+def test_packed_decode_digit_bound():
+    from qkron.qlaurent import _pack, _unpack
+
+    # one-byte digits decode exactly while |digit| < 128
+    t = {3: 127, 4: -127, 6: 5}
+    assert _unpack(_pack(t, 3, 4, 1), 3, 4, 1) == t
+    for top in (128, 200, -129, -200):
+        with pytest.raises(AssertionError, match="digit bound"):
+            _unpack(_pack({3: 1, 6: top}, 3, 4, 1), 3, 4, 1)
 
 
 def test_text_forms():
