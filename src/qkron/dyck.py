@@ -60,11 +60,6 @@ class DyckPath:
     def n_edges(self) -> int:
         return len(self.word)
 
-    def edge_dir(self, t: int) -> str:
-        if not 1 <= t <= self.n_edges:
-            raise IndexOutOfRange(f"edge index {t} outside 1..{self.n_edges}")
-        return self.word[t - 1]
-
     def v_coord(self, j: int):
         """Coordinates of the marked vertex v_j (v_0 is the origin)."""
         if not 0 <= j <= self.height:

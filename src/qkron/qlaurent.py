@@ -156,9 +156,6 @@ class QLaurent:
     def coeff2(self, k2: int) -> int:
         return self._t.get(k2, 0)
 
-    def min2(self) -> int:
-        return min(self._t)
-
     def max2(self) -> int:
         return max(self._t)
 
@@ -174,10 +171,6 @@ class QLaurent:
     def is_integral(self) -> bool:
         """True when no genuine half-exponent q^(odd/2) occurs."""
         return all(k2 % 2 == 0 for k2 in self._t)
-
-    def is_poly(self) -> bool:
-        """True for an honest polynomial in q (integral exponents >= 0)."""
-        return all(k2 % 2 == 0 and k2 >= 0 for k2 in self._t)
 
     def has_negative_coeff(self) -> bool:
         return any(c < 0 for c in self._t.values())

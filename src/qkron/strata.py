@@ -168,6 +168,15 @@ def closed_zbar_m6(r: int, p: int) -> QLaurent:
     return total
 
 
+def closed_strata_m6(r: int) -> StrataTable:
+    """Stratum table at e2 = 1 for the same module from the closed forms:
+    Zbar'(p) by ``closed_zbar_m6`` and Z'(p) = Zbar'(p) - Zbar'(p+1)."""
+    d1 = r**3 - 2 * r
+    zbar = {p: closed_zbar_m6(r, p) for p in range(d1 + 1)}
+    zp = {p: zbar[p] - zbar.get(p + 1, QLaurent.zero()) for p in zbar}
+    return StrataTable(1, d1, r**2 - 1, zp, zbar)
+
+
 def euler_char(poly: QLaurent) -> int:
     """Value at q = 1 (always an integer for our polynomials)."""
     val = poly.evaluate(1)

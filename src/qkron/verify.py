@@ -6,6 +6,7 @@ tests.  Suites are deterministic: randomized ones draw from a fixed seed.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ def _check(suite, label, ok, detail=""):
 # -- exact ring suites -------------------------------------------------------
 
 
-def suite_cn(**_):
+def suite_cn():
     checks = []
     ok = True
     for r in range(2, 11):
@@ -58,7 +59,7 @@ def suite_cn(**_):
     return checks
 
 
-def suite_qpascal(**_):
+def suite_qpascal():
     ok_pascal = all(
         q_binomial(m, n)
         == q_binomial(m - 1, n - 1) + q_binomial(m - 1, n).shift2(2 * n)
@@ -82,7 +83,7 @@ def suite_qpascal(**_):
     ]
 
 
-def suite_alternating(**_):
+def suite_alternating():
     ok = True
     for e1 in range(0, 21):
         for p in range(0, e1 + 1):
@@ -105,7 +106,7 @@ def suite_alternating(**_):
     ]
 
 
-def suite_matrix(size: int = 30, **_):
+def suite_matrix(size: int = 30):
     # Principal submatrices of the size-30 pair are exactly the smaller
     # sizes, so the single product covers every size up to 30.
     inv = strata.transform_matrix(size)
@@ -160,7 +161,7 @@ def _random_unit_leading(rng):
         return TorusElement(terms.items())
 
 
-def suite_torus(cases: int = 200, seed: int = 20240, **_):
+def suite_torus(cases: int = 200, seed: int = 20240):
     rng = random.Random(seed)
     ok_assoc = True
     for _ in range(cases):
@@ -197,7 +198,7 @@ def suite_torus(cases: int = 200, seed: int = 20240, **_):
 # -- expansion vs recursion -------------------------------------------------------
 
 
-def suite_bridge(r: int | None = None, n: int | None = None, **_):
+def suite_bridge(r: int | None = None, n: int | None = None):
     if (r is None) != (n is None):
         raise InvalidParameter("--r and --n go together: give both or neither")
     pairs = BRIDGE_PAIRS if r is None else ((r, n),)
@@ -216,7 +217,7 @@ def suite_bridge(r: int | None = None, n: int | None = None, **_):
     return checks
 
 
-def suite_commutation(**_):
+def suite_commutation():
     checks = []
     for r, nmax in XVAR_GRID:
         ok = True
@@ -231,7 +232,7 @@ def suite_commutation(**_):
     return checks
 
 
-def suite_positivity(**_):
+def suite_positivity():
     checks = []
     for r, nmax in XVAR_GRID:
         ok = True
@@ -267,7 +268,7 @@ def _expected_end_color(r: int, l: int):
     return Color.green(3, k)
 
 
-def suite_colors(**_):
+def suite_colors():
     checks = []
     for r in (3, 4, 5):
         path = build_dyck(r, 6)
@@ -284,7 +285,7 @@ def suite_colors(**_):
     return checks
 
 
-def suite_shadow(**_):
+def suite_shadow():
     checks = []
     for r, n in ((2, 5), (3, 5)):
         path = build_dyck(r, n)
@@ -312,7 +313,7 @@ def suite_shadow(**_):
 # -- closed forms and oracle ------------------------------------------------------------
 
 
-def suite_closedform(**_):
+def suite_closedform():
     checks = []
     for r in (2, 3):
         table = cluster.gr_table(r, 6)
@@ -333,7 +334,7 @@ def suite_closedform(**_):
     return checks
 
 
-def suite_ffcount(**_):
+def suite_ffcount():
     checks = []
     for r, n, p in FF_CONFIGS:
         mod = fforacle.build_module(p, r, n)
@@ -352,7 +353,7 @@ def suite_ffcount(**_):
     return checks
 
 
-def suite_ffstrata(**_):
+def suite_ffstrata():
     checks = []
     for r, n, p in FF_CONFIGS:
         mod = fforacle.build_module(p, r, n)
@@ -417,6 +418,10 @@ SUITES = {
 
 def run_suite(name: str, **kwargs):
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+        raise InvalidParameter(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     fn, _ = SUITES[name]
+    try:
+        inspect.signature(fn).bind(**kwargs)
+    except TypeError as exc:
+        raise InvalidParameter(f"suite {name!r} {exc}") from None
     return fn(**kwargs)

@@ -16,6 +16,7 @@ from qkron.families import xvar_enum
 from qkron.fforacle import build_module, count_gr, count_strata
 from qkron.qlaurent import QLaurent, q_binomial
 from qkron.strata import closed_gr_m6, closed_zbar_m6, euler_char, strata_from_gr
+from qkron.verify import BRIDGE_PAIRS, FF_CONFIGS
 
 # Pinned closed-stratum polynomial for r = 10, p = 5, keyed by q-exponent;
 # cross-validated at small r where the generic pipeline reproduces the
@@ -37,13 +38,6 @@ ZBAR_5_1 = {
     22: 1, 21: 2, 20: 2, 19: 2, 18: 1, 16: -1, 14: 1, 13: 2, 12: 2, 11: 2,
     10: 1, 9: 1, 8: 1, 7: 1, 6: 1, 5: 1, 4: 1, 3: 1, 2: 1, 1: 1, 0: 1,
 }
-
-BRIDGE_PAIRS = ((2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (4, 5), (5, 5))
-FF_CONFIGS = (
-    (2, 4, 2), (2, 4, 3), (2, 5, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2), (3, 5, 2), (3, 5, 3),
-    (4, 5, 2), (5, 5, 2),
-)
-
 
 def _poly(table):
     return QLaurent({2 * e: c for e, c in table.items()})

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qkron import verify
 from qkron.cli import main
 
 
@@ -142,6 +143,56 @@ def test_verify_list(capsys):
 def test_verify_unknown_suite(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2 and "InvalidParameter" in err
+    assert json.loads(out)["message"].startswith("unknown suite 'nope'; known:")
+
+
+def test_verify_rejects_arguments_the_suite_does_not_take(capsys):
+    for flags in (["--r", "3"], ["--n", "5"], ["--r", "2", "--n", "5"]):
+        code, out, err = run_cli(capsys, "verify", "--suite", "cn", *flags)
+        assert code == 2 and err.startswith("error: InvalidParameter: suite 'cn'")
+        assert json.loads(out)["error"] == "InvalidParameter"
+
+
+def test_unwritable_output_is_reported(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "cn", "--r", "2", "--n", "5", "--output", str(target))
+    assert code == 1 and not target.exists()
+    assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
+    assert json.loads(out)["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize(
+    "cmd", ["cn", "dyck", "families", "xvar", "grtable", "strata", "ffcount", "ffstrata"]
+)
+@pytest.mark.parametrize("missing", ["r", "n"])
+def test_missing_r_or_n(capsys, cmd, missing):
+    given = {"r": ["--r", "2"], "n": ["--n", "4"]}
+    extra = {
+        "strata": ["--e2", "1"],
+        "ffcount": ["--p", "2", "--e1", "1", "--e2", "1"],
+        "ffstrata": ["--p", "2", "--side", "zp", "--param", "2", "--s", "0"],
+    }.get(cmd, [])
+    argv = [cmd, *given["n" if missing == "r" else "r"], *extra]
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        message = f"--{missing} is required for {cmd}"
+        assert code == 2
+        assert err == f"error: InvalidParameter: {message}\n"
+        assert json.loads(out) == {"error": "InvalidParameter", "message": message}
+
+
+def test_verify_failure_reports_then_exits_1(tmp_path, capsys, monkeypatch):
+    checks = [verify.Check("boom", "holds", True), verify.Check("boom", "breaks", False, "d")]
+    monkeypatch.setitem(verify.SUITES, "boom", (lambda: checks, "always fails"))
+    report = "ok boom: holds\nFAIL boom: breaks (d)\n"
+    code, out, err = run_cli(capsys, "verify", "--suite", "boom")
+    assert (code, out, err) == (1, report, "")
+    target = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, "verify", "--suite", "boom", "--output", str(target))
+    assert (code, out, err) == (1, "", "")
+    assert target.read_text() == report
+    code, out, _ = run_cli(capsys, "verify", "--suite", "boom", "--format", "json")
+    assert code == 1 and json.loads(out)["passed"] is False
 
 
 def test_output_determinism(tmp_path, capsys):

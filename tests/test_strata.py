@@ -5,6 +5,7 @@ from qkron.errors import InvalidParameter
 from qkron.qlaurent import ONE, QLaurent, q, q_binomial
 from qkron.strata import (
     closed_gr_m6,
+    closed_strata_m6,
     closed_zbar_m6,
     euler_char,
     gr_from_strata,
@@ -109,6 +110,15 @@ def test_closed_matches_pipeline_r2():
         assert closed_gr_m6(2, e1) == table.entry(e1, 1)
     for p in range(table.d1 + 1):
         assert closed_zbar_m6(2, p) == st.zbar(p)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_closed_strata_table_matches_pipeline(r):
+    closed = closed_strata_m6(r)
+    generic = strata_from_gr(gr_table(r, 6), 1)
+    assert closed.zprime == generic.zprime
+    assert closed.zbarprime == generic.zbarprime
+    assert closed.to_obj() == generic.to_obj()
 
 
 def test_alternating_identity_spot():
