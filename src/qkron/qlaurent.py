@@ -39,11 +39,19 @@ _SCHOOLBOOK_LIMIT = 96
 def _shift_add(tgt: dict, src: dict, shift: int = 0, scale: int = 1) -> dict:
     """Add scale * q^(shift/2) * src into tgt in place, dropping the
     coefficients that cancel; returns tgt."""
-    items = src.items() if scale == 1 else ((k, c * scale) for k, c in src.items())
     get = tgt.get
-    for k, c in items:
+    if scale == 1:
+        for k, c in src.items():
+            k += shift
+            c += get(k, 0)
+            if c:
+                tgt[k] = c
+            else:
+                del tgt[k]
+        return tgt
+    for k, c in src.items():
         k += shift
-        c += get(k, 0)
+        c = c * scale + get(k, 0)
         if c:
             tgt[k] = c
         else:
@@ -68,13 +76,14 @@ def _digit_width(bound: int) -> int:
     return (bound.bit_length() + 2 + 7) // 8
 
 
-def _pack(t: dict, lo: int, length: int, width: int):
-    """The digits t[lo + i], i < length, evaluated at 2^(8*width): one big
-    integer (an mpz when gmpy2 is present)."""
+def _pack(t: dict, lo: int, length: int, width: int, step: int = 1):
+    """The digits t[lo + step*i], i < length, evaluated at 2^(8*width): one
+    big integer (an mpz when gmpy2 is present).  Every exponent of t must
+    lie on that lattice."""
     pos = bytearray(length * width)
     neg = bytearray(length * width)
     for k, c in t.items():
-        off = (k - lo) * width
+        off = (k - lo) // step * width
         if c > 0:
             pos[off : off + width] = c.to_bytes(width, "little")
         else:
@@ -82,8 +91,8 @@ def _pack(t: dict, lo: int, length: int, width: int):
     return _mpz(int.from_bytes(pos, "little") - int.from_bytes(neg, "little"))
 
 
-def _unpack(val, lo: int, length: int, width: int) -> dict:
-    """Balanced-digit decode of a packed value into {lo + i: digit}.
+def _unpack(val, lo: int, length: int, width: int, step: int = 1) -> dict:
+    """Balanced-digit decode of a packed value into {lo + step*i: digit}.
 
     Adding half the base to every digit makes all digits nonnegative
     without carries (|digit| < half), so the byte string of the shifted
@@ -98,7 +107,7 @@ def _unpack(val, lo: int, length: int, width: int) -> dict:
     raw = shifted.to_bytes(length * width, "little")
     frm = int.from_bytes
     digits = [frm(raw[i : i + width], "little") for i in range(0, length * width, width)]
-    return {lo + i: c - half for i, c in enumerate(digits) if c != half}
+    return {lo + step * i: c - half for i, c in enumerate(digits) if c != half}
 
 
 class QLaurent:
@@ -234,22 +243,24 @@ class QLaurent:
     def _mul_packed(a: dict, b: dict) -> "QLaurent":
         """Exact product via evaluation at a large power of two.
 
-        Both operands are packed densely over their exponent span, evaluated
-        at 2^bits, multiplied as Python integers, and the product digits are
-        decoded in balanced form (so signed coefficients are handled).
+        Both operands are packed densely over their exponent span, one digit
+        per step of g (the gcd of all exponent offsets, so coefficients in
+        q^r get r times fewer digits), evaluated at 2^bits, multiplied as
+        Python integers, and the product digits are decoded in balanced form
+        (so signed coefficients are handled).
         """
-        amin, amax = min(a), max(a)
-        bmin, bmax = min(b), max(b)
-        la = amax - amin + 1
-        lb = bmax - bmin + 1
+        amin, bmin = min(a), min(b)
+        g = math.gcd(*(k - amin for k in a), *(k - bmin for k in b)) or 1
+        la = (max(a) - amin) // g + 1
+        lb = (max(b) - bmin) // g + 1
         if la * lb > 64 * len(a) * len(b):
             # Very sparse with huge gaps: fall back to the dict loop.
             return QLaurent._raw(_mul_dicts(a, b))
         maxa = max(abs(c) for c in a.values())
         maxb = max(abs(c) for c in b.values())
         width = _digit_width(maxa * maxb * min(len(a), len(b)))
-        prod = _pack(a, amin, la, width) * _pack(b, bmin, lb, width)
-        return QLaurent._raw(_unpack(prod, amin + bmin, la + lb - 1, width))
+        prod = _pack(a, amin, la, width, g) * _pack(b, bmin, lb, width, g)
+        return QLaurent._raw(_unpack(prod, amin + bmin, la + lb - 1, width, g))
 
     def __pow__(self, e: int) -> "QLaurent":
         if not isinstance(e, int) or e < 0:

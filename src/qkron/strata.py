@@ -130,11 +130,15 @@ def gr_from_strata(strata: StrataTable, e1: int) -> QLaurent:
     return out
 
 
+def _check_r(r) -> None:
+    if not isinstance(r, int) or r < 2:
+        raise InvalidParameter(f"r must be an integer >= 2, got {r}")
+
+
 def closed_gr_m6(r: int, e1: int) -> QLaurent:
     """Grassmannian polynomial at (e1, 1) for the module with dimension
     vector (r^3-2r, r^2-1), in closed form; zero once e1 exceeds r-1."""
-    if not isinstance(r, int) or r < 2:
-        raise InvalidParameter(f"r must be an integer >= 2, got {r}")
+    _check_r(r)
     if not isinstance(e1, int) or e1 < 0:
         raise InvalidParameter(f"e1 must be a nonnegative integer, got {e1}")
     if e1 > r - 1:
@@ -151,13 +155,12 @@ def closed_gr_m6(r: int, e1: int) -> QLaurent:
 def closed_zbar_m6(r: int, p: int) -> QLaurent:
     """Closed-stratum polynomial at parameter p (second index r^2-2) for the
     same module, in closed form valid for every r."""
-    if not isinstance(r, int) or r < 2:
-        raise InvalidParameter(f"r must be an integer >= 2, got {r}")
+    _check_r(r)
     if not isinstance(p, int) or p < 0:
         raise InvalidParameter(f"p must be a nonnegative integer, got {p}")
-    d1 = r**3 - 2 * r
     total = QLaurent.zero()
-    for e1 in range(p, d1 + 1):
+    # e1 runs up to d1 = r^3 - 2r, but closed_gr_m6 vanishes past r - 1 <= d1
+    for e1 in range(p, r):
         poly = closed_gr_m6(r, e1)
         if not poly:
             continue
@@ -171,6 +174,7 @@ def closed_zbar_m6(r: int, p: int) -> QLaurent:
 def closed_strata_m6(r: int) -> StrataTable:
     """Stratum table at e2 = 1 for the same module from the closed forms:
     Zbar'(p) by ``closed_zbar_m6`` and Z'(p) = Zbar'(p) - Zbar'(p+1)."""
+    _check_r(r)
     d1 = r**3 - 2 * r
     zbar = {p: closed_zbar_m6(r, p) for p in range(d1 + 1)}
     zp = {p: zbar[p] - zbar.get(p + 1, QLaurent.zero()) for p in zbar}

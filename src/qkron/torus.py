@@ -11,6 +11,8 @@ x^a y^b lands on q^((a-b)/2) * X1^a * X2^b.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DivisionFailed, InvalidParameter
 from .qlaurent import ONE, QLaurent, _digit_width, _pack, _shift_add, _unpack
 
@@ -208,12 +210,15 @@ def _mul_large(t1: dict, t2: dict) -> TorusElement:
     """Product of two term dicts with all coefficients kept in packed
     big-integer form until the very end.
 
-    Every coefficient is packed once at a common digit width; each pair
-    product is then a single integer multiplication and each collision a
-    single aligned integer addition, so the expensive digit decode happens
-    once per output term instead of once per pair.  The digit width is
-    chosen so that no accumulated digit can reach half the base, which
-    makes the balanced decode exact for signed coefficients.
+    Every coefficient is packed once at a common digit width and stride g;
+    each pair product is then a single integer multiplication and each
+    collision a single aligned integer addition, so the expensive digit
+    decode happens once per output term instead of once per pair.  The
+    digit width is chosen so that no accumulated digit can reach half the
+    base, which makes the balanced decode exact for signed coefficients.
+    The stride g divides every exponent offset inside a coefficient and
+    every gap between the bases of pairs that land on the same key, so
+    coefficients in q^r take r times fewer digits and the shifts stay exact.
     """
     maxc1 = max(max(abs(c) for c in q_._t.values()) for q_ in t1.values())
     maxc2 = max(max(abs(c) for c in q_._t.values()) for q_ in t2.values())
@@ -223,14 +228,25 @@ def _mul_large(t1: dict, t2: dict) -> TorusElement:
     width = _digit_width(bound)
     bits = 8 * width
 
-    def pack(ql):
-        lo, hi = min(ql._t), max(ql._t)
-        return _pack(ql._t, lo, hi - lo + 1, width), lo, hi
+    terms1 = [(a, b, min(c._t), max(c._t), c._t) for (a, b), c in t1.items()]
+    terms2 = [(a, b, min(c._t), max(c._t), c._t) for (a, b), c in t2.items()]
+    g = 0
+    for _, _, lo, _, t in terms1 + terms2:
+        g = math.gcd(g, *(k - lo for k in t))
+    first: dict = {}
+    for a1, b1, lo1, _, _ in terms1:
+        for a2, b2, lo2, _, _ in terms2:
+            base = lo1 + lo2 - 2 * b1 * a2
+            g = math.gcd(g, base - first.setdefault((a1 + a2, b1 + b2), base))
+    g = g or 1
 
-    packed1 = [(a, b, *pack(c)) for (a, b), c in t1.items()]
-    packed2 = [(a, b, *pack(c)) for (a, b), c in t2.items()]
+    def packed(terms):
+        return [(a, b, _pack(t, lo, (hi - lo) // g + 1, width, g), lo, hi)
+                for a, b, lo, hi, t in terms]
+
+    packed2 = packed(terms2)
     acc: dict = {}
-    for a1, b1, v1, lo1, hi1 in packed1:
+    for a1, b1, v1, lo1, hi1 in packed(terms1):
         for a2, b2, v2, lo2, hi2 in packed2:
             sh = -2 * b1 * a2
             base = lo1 + lo2 + sh
@@ -242,15 +258,15 @@ def _mul_large(t1: dict, t2: dict) -> TorusElement:
                 acc[key] = [v, base, top]
                 continue
             if base < cur[1]:
-                cur[0] = (cur[0] << ((cur[1] - base) * bits)) + v
+                cur[0] = (cur[0] << ((cur[1] - base) // g * bits)) + v
                 cur[1] = base
             else:
-                cur[0] += v << ((base - cur[1]) * bits)
+                cur[0] += v << ((base - cur[1]) // g * bits)
             if top > cur[2]:
                 cur[2] = top
     out = {}
     for key, (val, base, top) in acc.items():
-        d = _unpack(val, base, top - base + 1, width)
+        d = _unpack(val, base, (top - base) // g + 1, width, g)
         if d:
             out[key] = QLaurent._raw(d)
     return TorusElement._raw(out)

@@ -95,6 +95,17 @@ def test_strata_cli(capsys):
     assert code == 0 and "Zbar'(0)" in out
 
 
+def test_strata_closed_rejects_r_below_2(capsys):
+    message = "r must be an integer >= 2, got 1"
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(
+            capsys, "strata", "--r", "1", "--n", "6", "--e2", "1", "--closed", "--format", fmt
+        )
+        assert code == 2
+        assert err == f"error: InvalidParameter: {message}\n"
+        assert json.loads(out) == {"error": "InvalidParameter", "message": message}
+
+
 def test_example13(capsys):
     code, out, _ = run_cli(capsys, "example13")
     assert code == 0

@@ -215,6 +215,18 @@ def test_packed_decode_digit_bound():
             _unpack(_pack({3: 1, 6: top}, 3, 4, 1), 3, 4, 1)
 
 
+def test_strided_pack_roundtrip_and_digit_bound():
+    from qkron.qlaurent import _pack, _unpack
+
+    # digit i holds the exponent 3 + 4*i; the lattice gaps take no digits
+    t = {3: 127, 7: -127, 15: 5}
+    assert _pack(t, 3, 4, 1, 4) == _pack({0: 127, 1: -127, 3: 5}, 0, 4, 1)
+    assert _unpack(_pack(t, 3, 4, 1, 4), 3, 4, 1, 4) == t
+    for top in (128, -129):
+        with pytest.raises(AssertionError, match="digit bound"):
+            _unpack(_pack({3: 1, 15: top}, 3, 4, 1, 4), 3, 4, 1, 4)
+
+
 def test_text_forms():
     p = QLaurent({0: 1, 2: -3, 5: 1})
     assert str(p) == "1 - 3*q + q^(5/2)"

@@ -121,6 +121,21 @@ def test_closed_strata_table_matches_pipeline(r):
     assert closed.to_obj() == generic.to_obj()
 
 
+@pytest.mark.parametrize("r", [2, 3, 10])
+def test_closed_zbar_stops_where_closed_gr_vanishes(r, monkeypatch):
+    import qkron.strata as strata_mod
+
+    calls = []
+    closed_gr = strata_mod.closed_gr_m6
+    monkeypatch.setattr(
+        strata_mod, "closed_gr_m6", lambda r_, e1: calls.append(e1) or closed_gr(r_, e1)
+    )
+    for p in (0, 1, r - 1, r, r**3 - 2 * r):
+        calls.clear()
+        closed_zbar_m6(r, p)
+        assert len(calls) <= r
+
+
 def test_alternating_identity_spot():
     # the signed tail sum collapses: at e1=2, p=1 both sides are -q
     lhs = q_binomial(2, 0) - q_binomial(2, 1)

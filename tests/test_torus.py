@@ -123,6 +123,16 @@ def test_json_roundtrip():
     assert TorusElement.from_obj(obj) == e
 
 
+def _bilinear(a, b):
+    acc = TorusElement.zero()
+    for (a1, b1), c1 in a.items():
+        for (a2, b2), c2 in b.items():
+            acc = acc + TorusElement.monomial(
+                a1 + a2, b1 + b2, (c1 * c2).shift2(-2 * b1 * a2)
+            )
+    return acc
+
+
 def test_large_product_path_with_and_without_gmp(monkeypatch):
     import random
 
@@ -150,10 +160,34 @@ def test_large_product_path_with_and_without_gmp(monkeypatch):
     assert fast == slow
     # and against the plain bilinear accumulation
     for (a, b), want in zip([(a, b) for a, b in pairs if a and b], slow):
-        acc = TorusElement.zero()
-        for (a1, b1), c1 in a.items():
-            for (a2, b2), c2 in b.items():
-                acc = acc + TorusElement.monomial(
-                    a1 + a2, b1 + b2, (c1 * c2).shift2(-2 * b1 * a2)
-                )
-        assert acc == want
+        assert _bilinear(a, b) == want
+
+
+def test_large_product_stride_covers_accumulation_gaps():
+    from qkron.torus import _mul_large
+
+    # every coefficient has stride 4 in doubled exponents, but the two pair
+    # products landing on X1 X2 have bases 2 apart: the stride must be 2
+    c = QLaurent({4 * i: i + 1 for i in range(5)})
+    a = TorusElement({(0, 1): c, (1, 0): c})
+    b = TorusElement({(1, 0): c, (0, 1): c})
+    assert _mul_large(a._t, b._t) == _bilinear(a, b)
+
+
+def test_recursion_packs_on_the_2r_lattice(monkeypatch):
+    import qkron.qlaurent as qlmod
+    import qkron.torus as tmod
+    from qkron.cluster import gr_table, xvar_recursive
+
+    steps = []
+    pack = qlmod._pack
+
+    def spy(t, lo, length, width, step=1):
+        steps.append(step)
+        return pack(t, lo, length, width, step)
+
+    monkeypatch.setattr(qlmod, "_pack", spy)
+    monkeypatch.setattr(tmod, "_pack", spy)
+    xvar_recursive.cache_clear()
+    gr_table(3, 6)
+    assert steps and set(steps) == {6}
