@@ -201,15 +201,16 @@ def build_module(p: int, r: int, n: int, seed: int = 0, attempts: int = 1000) ->
     """A certified rigid module with dimension vector (c_{n-1}, c_{n-2}).
 
     Small cases use explicit matrices (coordinate functionals for n = 4,
-    shifted identities for r = 2); otherwise a seeded random search accepts
-    the first candidate whose endomorphism algebra is one-dimensional.
+    shifted identities for r = 2, which reach every n >= 4); otherwise, for
+    n <= 6, a seeded random search accepts the first candidate whose
+    endomorphism algebra is one-dimensional.
     """
     if p not in ALLOWED_PRIMES:
         raise InvalidParameter(f"p must be one of {ALLOWED_PRIMES}, got {p}")
     if not isinstance(r, int) or r < 2:
         raise InvalidParameter(f"r must be an integer >= 2, got {r}")
-    if not isinstance(n, int) or not 4 <= n <= 6:
-        raise InvalidParameter(f"module index must be in 4..6, got {n}")
+    if not isinstance(n, int) or n < 4 or (n > 6 and r != 2):
+        raise InvalidParameter(f"module index must be in 4..6 (any n >= 4 at r = 2), got {n}")
     d1, d2 = c_sequence(r, n - 1), c_sequence(r, n - 2)
     assert d1 * d1 + d2 * d2 - r * d1 * d2 == 1
 

@@ -110,6 +110,45 @@ def _unpack(val, lo: int, length: int, width: int, step: int = 1) -> dict:
     return {lo + step * i: c - half for i, c in enumerate(digits) if c != half}
 
 
+def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) -> bool:
+    """acc[key] += val for entries [packed value, lo, hi] on the digits lo,
+    lo + step, ..., hi at base 2^bits, shifted into place by whole digits.
+    A sum of 0 drops the key; cancelled low digits are stripped so lo stays
+    the true minimum.  Returns False, changing nothing, when lo is off the
+    entry's lattice: the caller must redo its work at a finer stride."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = [val, lo, hi]
+        return True
+    gap = lo - cur[1]
+    if gap % step:
+        return False
+    if gap < 0:
+        cur[0] = (cur[0] << (-gap // step * bits)) + val
+        cur[1] = lo
+    else:
+        cur[0] += val << (gap // step * bits)
+    cur[2] = max(cur[2], hi)
+    s = cur[0]
+    if not s:
+        del acc[key]
+    elif gap == 0 and (zeros := ((s & -s).bit_length() - 1) // bits):
+        cur[0] = s >> (zeros * bits)  # the lowest digits cancelled
+        cur[1] += zeros * step
+    return True
+
+
+def _power(x, e: int, out):
+    """out * x**e by repeated squaring, for e >= 0 (checked by the caller)."""
+    while e:
+        if e & 1:
+            out = out * x
+        if e > 1:
+            x = x * x
+        e >>= 1
+    return out
+
+
 class QLaurent:
     """Sparse Laurent polynomial in q^(1/2) with integer coefficients."""
 
@@ -265,14 +304,7 @@ class QLaurent:
     def __pow__(self, e: int) -> "QLaurent":
         if not isinstance(e, int) or e < 0:
             raise InvalidParameter("exponent must be a nonnegative integer")
-        out = QLaurent.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return _power(self, e, QLaurent.one())
 
     def shift2(self, k2: int) -> "QLaurent":
         """Multiply by q^(k2/2)."""

@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import DivisionFailed, InvalidParameter
-from .qlaurent import ONE, QLaurent, _digit_width, _pack, _shift_add, _unpack
-
-WordMonomial = tuple  # (a, b): the ordered word x^a y^b
+from .qlaurent import ONE, QLaurent, _add_aligned, _digit_width, _pack, _power, _shift_add, _unpack
 
 
 class TorusElement:
@@ -149,15 +147,7 @@ class TorusElement:
     def __pow__(self, e: int) -> "TorusElement":
         if not isinstance(e, int) or e < 0:
             raise InvalidParameter("torus powers need a nonnegative integer")
-        out = TorusElement.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, TorusElement.one())
 
     def scale2(self, k2: int) -> "TorusElement":
         """Multiply every coefficient by q^(k2/2)."""
@@ -206,70 +196,59 @@ class TorusElement:
         )
 
 
+def _max_coeff(t: dict) -> int:
+    return max(abs(c) for q_ in t.values() for c in q_._t.values())
+
+
+def _offset_gcd(*ts: dict) -> int:
+    """gcd of the exponent offsets inside the coefficients; 0 if all are one-term."""
+    return math.gcd(*(k - lo for t in ts for c in t.values() for lo in [min(c._t)] for k in c._t))
+
+
+def _packed(t: dict, width: int, g: int) -> list:
+    """[value, lo, hi] at stride g; a one-term coefficient packs alike at any g."""
+    lo, hi = min(t), max(t)
+    if lo == hi:
+        return [t[lo], lo, hi]
+    return [_pack(t, lo, (hi - lo) // g + 1, width, g), lo, hi]
+
+
 def _mul_large(t1: dict, t2: dict) -> TorusElement:
     """Product of two term dicts with all coefficients kept in packed
     big-integer form until the very end.
 
     Every coefficient is packed once at a common digit width and stride g;
-    each pair product is then a single integer multiplication and each
-    collision a single aligned integer addition, so the expensive digit
-    decode happens once per output term instead of once per pair.  The
-    digit width is chosen so that no accumulated digit can reach half the
-    base, which makes the balanced decode exact for signed coefficients.
-    The stride g divides every exponent offset inside a coefficient and
-    every gap between the bases of pairs that land on the same key, so
-    coefficients in q^r take r times fewer digits and the shifts stay exact.
+    each pair product is one integer multiplication and each collision one
+    ``_add_aligned``, so digits are decoded once per output term, not once
+    per pair.  No accumulated digit can reach half the base, so the balanced
+    decode is exact for signed coefficients.  g divides every exponent
+    offset inside a coefficient and every gap between the bases of pairs
+    that land on one key: q^r coefficients take r times fewer digits.
     """
-    maxc1 = max(max(abs(c) for c in q_._t.values()) for q_ in t1.values())
-    maxc2 = max(max(abs(c) for c in q_._t.values()) for q_ in t2.values())
-    maxnnz1 = max(len(q_._t) for q_ in t1.values())
-    maxnnz2 = max(len(q_._t) for q_ in t2.values())
-    bound = maxc1 * maxc2 * min(maxnnz1, maxnnz2) * min(len(t1), len(t2))
-    width = _digit_width(bound)
-    bits = 8 * width
-
-    terms1 = [(a, b, min(c._t), max(c._t), c._t) for (a, b), c in t1.items()]
-    terms2 = [(a, b, min(c._t), max(c._t), c._t) for (a, b), c in t2.items()]
-    g = 0
-    for _, _, lo, _, t in terms1 + terms2:
-        g = math.gcd(g, *(k - lo for k in t))
+    nnz = min(max(len(q_._t) for q_ in t.values()) for t in (t1, t2))
+    width = _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * min(len(t1), len(t2)))
+    g = _offset_gcd(t1, t2)
     first: dict = {}
-    for a1, b1, lo1, _, _ in terms1:
-        for a2, b2, lo2, _, _ in terms2:
+    lows2 = [(a2, b2, min(c2._t)) for (a2, b2), c2 in t2.items()]
+    for (a1, b1), c1 in t1.items():
+        lo1 = min(c1._t)
+        for a2, b2, lo2 in lows2:
             base = lo1 + lo2 - 2 * b1 * a2
             g = math.gcd(g, base - first.setdefault((a1 + a2, b1 + b2), base))
     g = g or 1
 
-    def packed(terms):
-        return [(a, b, _pack(t, lo, (hi - lo) // g + 1, width, g), lo, hi)
-                for a, b, lo, hi, t in terms]
-
-    packed2 = packed(terms2)
+    p2 = [(a, b, _packed(c._t, width, g)) for (a, b), c in t2.items()]
     acc: dict = {}
-    for a1, b1, v1, lo1, hi1 in packed(terms1):
-        for a2, b2, v2, lo2, hi2 in packed2:
+    for (a1, b1), c1 in t1.items():
+        v1, lo1, hi1 = _packed(c1._t, width, g)
+        for a2, b2, (v2, lo2, hi2) in p2:
             sh = -2 * b1 * a2
-            base = lo1 + lo2 + sh
-            top = hi1 + hi2 + sh
-            key = (a1 + a2, b1 + b2)
-            v = v1 * v2
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = [v, base, top]
-                continue
-            if base < cur[1]:
-                cur[0] = (cur[0] << ((cur[1] - base) // g * bits)) + v
-                cur[1] = base
-            else:
-                cur[0] += v << ((base - cur[1]) // g * bits)
-            if top > cur[2]:
-                cur[2] = top
-    out = {}
-    for key, (val, base, top) in acc.items():
-        d = _unpack(val, base, (top - base) // g + 1, width, g)
-        if d:
-            out[key] = QLaurent._raw(d)
-    return TorusElement._raw(out)
+            _add_aligned(acc, (a1 + a2, b1 + b2), v1 * v2,
+                         lo1 + lo2 + sh, hi1 + hi2 + sh, g, 8 * width)
+    return TorusElement._raw({
+        key: QLaurent._raw(_unpack(val, lo, (hi - lo) // g + 1, width, g))
+        for key, (val, lo, hi) in acc.items()
+    })
 
 
 X1 = TorusElement.monomial(1, 0)
@@ -290,6 +269,8 @@ def left_divide(d: TorusElement, n: TorusElement) -> TorusElement:
     divisor's lex-leading coefficient must be a unit (+-q^(k/2)); quotient
     exponents must stay inside the box [min(n)-max(d), max(n)-min(d)]
     componentwise, which bounds the loop and certifies failure otherwise.
+    The remainder stays packed (see ``_divide_packed``); a run that cannot
+    prove its decodes exact is repeated with a larger bound or finer stride.
     """
     if not isinstance(d, TorusElement) or not isinstance(n, TorusElement):
         raise InvalidParameter("left_divide expects torus elements")
@@ -297,47 +278,60 @@ def left_divide(d: TorusElement, n: TorusElement) -> TorusElement:
         raise InvalidParameter("left division by zero")
     if not n:
         return TorusElement.zero()
-    (ad, bd), cd = d.lex_leading()
-    if cd.num_terms() != 1:
-        raise DivisionFailed("divisor lex-leading coefficient is not a unit")
-    ((kd2, cd0),) = cd.items2()
-    if cd0 not in (1, -1):
+    _, cd = d.lex_leading()
+    if cd.num_terms() != 1 or cd.items2()[0][1] not in (1, -1):
         raise DivisionFailed("divisor lex-leading coefficient is not a unit")
 
-    na = [a for a, _ in n._t]
-    nb = [b for _, b in n._t]
-    da = [a for a, _ in d._t]
-    db = [b for _, b in d._t]
-    box_a = (min(na) - max(da), max(na) - min(da))
-    box_b = (min(nb) - max(db), max(nb) - min(db))
-    max_steps = (box_a[1] - box_a[0] + 1) * (box_b[1] - box_b[0] + 1)
+    (na, nb), (da, db) = zip(*n._t), zip(*d._t)
+    box = (min(na) - max(da), max(na) - min(da), min(nb) - max(db), max(nb) - min(db))
+    quot, bound, g = None, _max_coeff(n._t), _offset_gcd(d._t, n._t) or 1
+    while quot is None:
+        quot, bound, g = _divide_packed(d._t, n._t, box, bound, g)
+    return TorusElement._raw(quot)
 
-    # Mutable remainder: (a, b) -> {doubled exponent -> coefficient}.
-    rem = {key: dict(c._t) for key, c in n._t.items()}
-    dterms = list(d._t.items())
+
+def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
+    """One run of ``left_divide`` on a packed remainder: an entry [value,
+    lo, hi] per key, all at stride g and one digit width.  Each step decodes
+    the leading entry (the quotient term up to a unit) and subtracts each
+    other divisor term times it as one big-integer product.  While every
+    quotient coefficient is at most ``bound``, a remainder digit is a digit
+    of n minus at most |d| digits of size maxc(d) * bound * maxnnz(d), so by
+    induction every decode is exact.  Returns (quotient, bound, g); the
+    quotient is None when a quotient coefficient exceeds the bound (which
+    is then at least doubled) or a sum lands off the stride (g shrinks).
+    """
+    (ad, bd), cd = max(d.items())
+    ((kd2, sign),) = cd._t.items()
+    nnz = max(len(q_._t) for q_ in d.values())
+    width = _digit_width(_max_coeff(n) + len(d) * _max_coeff(d) * bound * nnz)
+    rem = {key: _packed(c._t, width, g) for key, c in n.items()}
+    # -d / sign without its leading term, whose product just cancels the popped entry
+    terms = [(a, b, _packed(c.scale(-sign)._t, width, g))
+             for (a, b), c in d.items() if (a, b) != (ad, bd)]
+    amin, amax, bmin, bmax = box
     quot: dict = {}
-    for _ in range(max_steps + 1):
+    for _ in range((amax - amin + 1) * (bmax - bmin + 1) + 1):
         if not rem:
-            return TorusElement._raw(quot)
+            return quot, bound, g
         an, bn = max(rem)
         az, bz = an - ad, bn - bd
-        if not (box_a[0] <= az <= box_a[1] and box_b[0] <= bz <= box_b[1]):
-            raise DivisionFailed(
-                f"quotient term X1^{az} X2^{bz} escapes the support box"
-            )
-        # cd * q^(-bd*az) * cz = cn  =>  cz = cn * q^(bd*az) / cd
-        sh = 2 * bd * az - kd2
-        sign = cd0
-        cz = QLaurent._raw(
-            {k2 + sh: (c if sign == 1 else -c) for k2, c in rem[(an, bn)].items()}
-        )
+        if not (amin <= az <= amax and bmin <= bz <= bmax):
+            raise DivisionFailed(f"quotient term X1^{az} X2^{bz} escapes the support box")
         if (az, bz) in quot:
             raise AssertionError("duplicate quotient exponent in left_divide")
-        quot[(az, bz)] = cz
-        # subtract d * cz X1^az X2^bz from the remainder
-        neg_cz = -cz
-        for (a1, b1), c1 in dterms:
+        # cd * q^(-bd*az) * cz = cn  =>  cz = cn * q^(bd*az) / cd
+        val, lo, hi = rem.pop((an, bn))
+        sh = 2 * bd * az - kd2
+        lo, hi = lo + sh, hi + sh
+        cz = _unpack(val if sign > 0 else -val, lo, (hi - lo) // g + 1, width, g)
+        top = max(map(abs, cz.values()))
+        if top > bound:
+            return None, max(2 * bound, top), g
+        quot[(az, bz)] = QLaurent._raw(cz)
+        for a1, b1, (v1, lo1, hi1) in terms:
             key = (a1 + az, b1 + bz)
-            if not _shift_add(rem.setdefault(key, {}), (c1 * neg_cz)._t, -2 * b1 * az):
-                del rem[key]
+            base = lo1 + lo - 2 * b1 * az
+            if not _add_aligned(rem, key, v1 * val, base, hi1 + hi - 2 * b1 * az, g, 8 * width):
+                return None, bound, math.gcd(g, base - rem[key][1])
     raise DivisionFailed("division did not terminate within the support box")

@@ -159,3 +159,15 @@ def test_slow_desk_envelope():
         {k for k, _ in gr_table(3, 7).sorted_items()}
     )
     _report("slow", "desk envelope r=3, n=7", ok, time.perf_counter() - t0, 1800)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable"
+)
+@pytest.mark.parametrize("r, n", [(4, 6), (3, 7)])
+def test_slow_bridge_beyond_the_family_budget(r, n):
+    # the default family budget keeps these pairs out of the bridge suite
+    t0 = time.perf_counter()
+    ok = xvar_enum(r, n, budget=None) == xvar_recursive(r, n).scale2(1)
+    _report("slow", f"bridge identity at (r={r}, n={n})", ok, time.perf_counter() - t0, 1800)

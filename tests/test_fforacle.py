@@ -45,7 +45,9 @@ def test_build_validation():
     with pytest.raises(InvalidParameter):
         build_module(2, 1, 4)
     with pytest.raises(InvalidParameter):
-        build_module(2, 2, 7)
+        build_module(2, 3, 7)
+    with pytest.raises(InvalidParameter):
+        build_module(2, 2, 3)
 
 
 def test_end_dim_detects_non_rigid():
@@ -193,3 +195,15 @@ def test_module_json():
     back = FFModule.from_obj(obj, n=4)
     assert back.phis == mod.phis and (back.d1, back.d2) == (2, 1)
     assert end_dim(back) == 1
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("p", [2, 3])
+def test_r2_oracle_beyond_n6_matches_gr_table(p, n):
+    # at r = 2 the shifted identities are certified rigid for every n
+    table = gr_table(2, n)
+    mod = build_module(p, 2, n)
+    assert (mod.d1, mod.d2) == (table.d1, table.d2) == (n - 2, n - 3)
+    for e1 in range(table.d1 + 1):
+        for e2 in range(table.d2 + 1):
+            assert count_gr(mod, e1, e2) == table.entry(e1, e2).evaluate(p)

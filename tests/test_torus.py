@@ -191,3 +191,78 @@ def test_recursion_packs_on_the_2r_lattice(monkeypatch):
     xvar_recursive.cache_clear()
     gr_table(3, 6)
     assert steps and set(steps) == {6}
+
+
+def _spy_runs(monkeypatch):
+    """Record (bound, stride) of every packed run that left_divide starts."""
+    import qkron.torus as tmod
+
+    runs = []
+    run = tmod._divide_packed
+
+    def spy(d, n, box, bound, g):
+        runs.append((bound, g))
+        assert len(runs) <= 40, "left_divide keeps restarting"
+        return run(d, n, box, bound, g)
+
+    monkeypatch.setattr(tmod, "_divide_packed", spy)
+    return runs
+
+
+def _peaked(m):
+    """z = sum (-1)^k c_k P X1^k with c_k = 1, 2, ..., m, ..., 2, 1 and P of
+    100 terms, so n = (X1 + 1) z has coefficients +-P only: the quotient's
+    digits reach m, past the half base of the width n's bound alone gives."""
+    p = QLaurent({2 * i: 1 for i in range(100)})
+    z = TorusElement(
+        ((k, 0), p.scale((-1) ** k * min(k + 1, 2 * m - 1 - k))) for k in range(2 * m - 1)
+    )
+    n = (X1 + TorusElement.one()) * z
+    assert {abs(c) for _, q_ in n.items() for _, c in q_.items2()} == {1}
+    return z, n
+
+
+def test_left_divide_restarts_when_the_quotient_outgrows_n(monkeypatch):
+    runs = _spy_runs(monkeypatch)
+    z, n = _peaked(200)
+    assert left_divide(X1 + TorusElement.one(), n) == z
+    bounds = [b for b, _ in runs]
+    assert len(runs) >= 2 and bounds == sorted(bounds) and bounds[-1] >= 200
+
+
+def test_left_divide_refines_the_stride_off_the_lattice(monkeypatch):
+    # d and n have every coefficient on a q^2 lattice (doubled stride 4),
+    # but the quotient coefficient q - 1 at X1 does not: an accumulation
+    # at X1 X2 lands 2 off the remainder's lattice and the run restarts
+    runs = _spy_runs(monkeypatch)
+    big = QLaurent({4 * i: i + 1 for i in range(40)})
+    d = X1 + TorusElement.one() + TorusElement.monomial(0, 1, big)
+    z = X1 * X1 + X1 * QLaurent({2: 1, 0: -1}) + TorusElement.one()
+    z = z - TorusElement.monomial(1, 1, big)
+    assert left_divide(d, d * z) == z
+    assert [g for _, g in runs] == [4, 2]
+
+
+def test_left_divide_rejects_an_inexact_packed_division(monkeypatch):
+    import random
+
+    rng = random.Random(5)
+    runs = _spy_runs(monkeypatch)
+
+    def coeff():
+        return QLaurent({2 * i: rng.randrange(-50, 51) for i in range(30)})
+
+    d = TorusElement(((a, b), coeff()) for a in (0, 1) for b in (-1, 0, 1))
+    d = d + TorusElement.monomial(2, 0)
+    z = TorusElement(((a, b), coeff()) for a in range(4) for b in range(3))
+    _, peaked = _peaked(200)
+    # the stray terms sit inside n's support, on its leading key and outside
+    # it, on and off the coefficients' lattice; the peaked quotient restarts
+    # several times before the stray term is reached
+    cases = [(d, d * z, (1, 1), 6), (d, d * z, (5, 2), 1), (d, d * z, (-3, 0), 6),
+             (d, d * z, (0, 9), 3), (X1 + TorusElement.one(), peaked, (1, 0), 2)]
+    for dd, n, (a, b), k2 in cases:
+        runs.clear()
+        with pytest.raises(DivisionFailed):
+            left_divide(dd, n + TorusElement.monomial(a, b, QLaurent({k2: 1})))
+        assert 1 <= len(runs) <= 10, runs
