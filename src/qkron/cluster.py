@@ -34,12 +34,7 @@ def dim_vector(r: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def xvar_recursive(
-    r: int,
-    n: int,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> TorusElement:
+def xvar_recursive(r: int, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> TorusElement:
     """n-th cluster variable computed forward from the generators."""
     if not isinstance(r, int) or r < 2:
         raise InvalidParameter(f"r must be an integer >= 2, got {r}")
@@ -56,7 +51,7 @@ def xvar_recursive(
             raise BudgetExceeded(
                 f"{cur.num_terms()} torus terms exceed the cap of {max_terms}"
             )
-        if cur.max_coeff_bits() > max_coeff_bits:
+        if cur.max_coeff_bits() > DEFAULT_MAX_COEFF_BITS:
             raise BudgetExceeded("coefficient size exceeds the configured cap")
         prev2, prev = prev, cur
     return prev

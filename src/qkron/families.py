@@ -32,7 +32,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from .qlaurent import QLaurent, _shift_add, c_sequence
+from .qlaurent import QLaurent, _mul_terms, c_sequence
 from .torus import TorusElement, word_to_torus
 
 DEFAULT_FAMILY_BUDGET = 30_000_000
@@ -337,15 +337,9 @@ def _count_suffix(path: DyckPath) -> int:
 
 
 def _accum(out: dict, blk: tuple, sub: dict) -> dict:
-    """Add the block (A1, B1, e1) times every suffix monomial into out."""
+    """Add the block (A1, B1, e1) times the suffix term map into out."""
     A1, B1, e1 = blk
-    for (A2, B2), cd in sub.items():
-        _shift_add(out.setdefault((A1 + A2, B1 + B2), {}), cd, e1 - 2 * B1 * A2)
-    return out
-
-
-def _monomial_suffix(path: DyckPath) -> dict:
-    return _scan(path, {(0, 0): {0: 1}}, dict, _accum)
+    return _mul_terms({(A1, B1): {e1: 1}}, sub, out)
 
 
 def count_families(r: int, n: int) -> int:
@@ -368,11 +362,6 @@ def xvar_enum(r: int, n: int, budget: int | None = DEFAULT_FAMILY_BUDGET) -> Tor
         raise BudgetExceeded(
             f"{count} families exceed the configured budget of {budget}"
         )
-    suffix = _monomial_suffix(path)
-    terms = {}
-    for (A, B), cd in suffix.items():
-        # conjugation by X1 contributes q^B, the commutator prefix gives q
-        coeff = QLaurent((k2 + 2 + 2 * B, c) for k2, c in cd.items())
-        if coeff:
-            terms[(A, B)] = coeff
-    return TorusElement(terms)
+    # the scan ends on X1^-1 and the sum is multiplied by q X1 on the left
+    terms = _mul_terms({(1, 0): {2: 1}}, _scan(path, {(-1, 0): {0: 1}}, dict, _accum))
+    return TorusElement._raw({key: QLaurent._raw(d) for key, d in terms.items()})

@@ -23,8 +23,8 @@ except ImportError:  # pragma: no cover - exercised via an explicit test stub
     def _mpz(x):
         return x
 
-# Coefficient products of this many nonzero terms or fewer go through the
-# plain dict loop; larger dense operands are multiplied via big-integer
+# Products of at most this many pairs of nonzero coefficient terms go through
+# the plain dict loop; larger dense operands are multiplied via big-integer
 # (Kronecker) packing, which is much faster for the polynomials that appear
 # in cluster-variable recursions.
 _SCHOOLBOOK_LIMIT = 96
@@ -57,17 +57,6 @@ def _shift_add(tgt: dict, src: dict, shift: int = 0, scale: int = 1) -> dict:
         else:
             del tgt[k]
     return tgt
-
-
-def _mul_dicts(a: dict, b: dict) -> dict:
-    """Schoolbook product: one shifted, scaled copy of the longer operand
-    per term of the shorter."""
-    if len(a) > len(b):
-        a, b = b, a
-    t: dict = {}
-    for ka, ca in a.items():
-        _shift_add(t, b, ka, ca)
-    return t
 
 
 def _digit_width(bound: int) -> int:
@@ -136,6 +125,107 @@ def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) ->
         cur[0] = s >> (zeros * bits)  # the lowest digits cancelled
         cur[1] += zeros * step
     return True
+
+
+# -- the normal-form product ---------------------------------------------------
+#
+# A term map {(a, b): {doubled exponent: int}} stands for the quantum-torus
+# element sum c_{a,b}(q) X1^a X2^b; a QLaurent is the one-key map {(0, 0): t}.
+# Every product of such maps, in QLaurent, the torus, its division and the
+# family scan, goes through _twisted and one of the two pair loops below.
+
+
+def _twisted(t1: dict, t2: dict):
+    """(key, doubled shift, v1, v2) for every pair of entries, lazily: the
+    normal form (X1^a1 X2^b1)(X1^a2 X2^b2) = q^(-b1*a2) X1^(a1+a2) X2^(b1+b2)."""
+    return (((a1 + a2, b1 + b2), -2 * b1 * a2, v1, v2)
+            for (a1, b1), v1 in t1.items() for (a2, b2), v2 in t2.items())
+
+
+def _mul_dicts(t1: dict, t2: dict, acc: dict) -> dict:
+    """acc += t1 * t2 pair by pair: one shifted, scaled copy of the longer
+    coefficient per term of the shorter.  Keys that cancel are dropped."""
+    for key, sh, c1, c2 in _twisted(t1, t2):
+        tgt = acc.setdefault(key, {})
+        if len(c1) > len(c2):
+            c1, c2 = c2, c1
+        for k, c in c1.items():
+            _shift_add(tgt, c2, k + sh, c)
+        if not tgt:
+            del acc[key]
+    return acc
+
+
+def _mul_packed_pairs(acc: dict, p1: dict, p2: dict, g: int, bits: int) -> int:
+    """acc += p1 * p2 on packed entries [value, lo, hi] at stride g (see
+    ``_add_aligned``).  Returns 0, or the gap of the first sum that lands off
+    the stride, at which point acc is partly updated."""
+    for key, sh, (v1, lo1, hi1), (v2, lo2, hi2) in _twisted(p1, p2):
+        lo = lo1 + lo2 + sh
+        if not _add_aligned(acc, key, v1 * v2, lo, hi1 + hi2 + sh, g, bits):
+            return lo - acc[key][1]
+    return 0
+
+
+def _max_coeff(t: dict) -> int:
+    return max(abs(c) for d in t.values() for c in d.values())
+
+
+def _offset_gcd(*ts: dict) -> int:
+    """gcd of the exponent offsets inside the coefficients; 0 if all are one-term."""
+    return math.gcd(*(k - lo for t in ts for d in t.values() for lo in [min(d)] for k in d))
+
+
+def _packed(t: dict, width: int, g: int) -> list:
+    """[value, lo, hi] at stride g; a one-term coefficient packs alike at any g."""
+    lo, hi = min(t), max(t)
+    if lo == hi:
+        return [t[lo], lo, hi]
+    return [_pack(t, lo, (hi - lo) // g + 1, width, g), lo, hi]
+
+
+def _mul_terms(t1: dict, t2: dict, acc: dict | None = None) -> dict:
+    """acc + t1 * t2 for term maps under the normal-form product; acc (a new
+    map by default) is updated in place and returned.
+
+    The pair loop on dicts runs for small work, for operands averaging under
+    3 terms per coefficient, and for spans so sparse that the packed digits
+    would outnumber the dict work 64 to 1.  Otherwise every coefficient is
+    packed once at one digit width and one stride g, each pair product is
+    one integer multiplication and each collision one ``_add_aligned``, so
+    digits are decoded once per output key, not once per pair.  g divides
+    every exponent offset inside a coefficient and every gap between the
+    bases of pairs that land on one key, so q^r coefficients take r times
+    fewer digits and no sum lands off the stride; no digit of a sum can
+    reach half the base, so the balanced decode is exact.
+    """
+    acc = {} if acc is None else acc
+    n1 = sum(map(len, t1.values()))
+    n2 = sum(map(len, t2.values())) if n1 >= 3 * len(t1) else 0
+    if n2 < 3 * len(t2) or n1 * n2 <= _SCHOOLBOOK_LIMIT:
+        return _mul_dicts(t1, t2, acc)
+    g, first = _offset_gcd(t1, t2), {}
+    lows = [{key: min(d) for key, d in t.items()} for t in (t1, t2)]
+    for key, sh, lo1, lo2 in _twisted(*lows):
+        base = lo1 + lo2 + sh
+        g = math.gcd(g, base - first.setdefault(key, base))
+    g = g or 1
+    digits = [sum((max(d) - min(d)) // g + 1 for d in t.values()) for t in (t1, t2)]
+    if digits[0] * digits[1] > 64 * n1 * n2:
+        return _mul_dicts(t1, t2, acc)
+    nnz = min(max(map(len, t.values())) for t in (t1, t2))
+    width = _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * min(len(t1), len(t2)))
+    prod: dict = {}
+    p1, p2 = ({key: _packed(d, width, g) for key, d in t.items()} for t in (t1, t2))
+    _mul_packed_pairs(prod, p1, p2, g, 8 * width)
+    for key, (val, lo, hi) in prod.items():
+        d = _unpack(val, lo, (hi - lo) // g + 1, width, g)
+        tgt = acc.get(key)
+        if tgt is None:
+            acc[key] = d
+        elif not _shift_add(tgt, d):
+            del acc[key]
+    return acc
 
 
 def _power(x, e: int, out):
@@ -272,34 +362,9 @@ class QLaurent:
         a, b = self._t, other._t
         if not a or not b:
             return QLaurent.zero()
-        if len(a) * len(b) <= _SCHOOLBOOK_LIMIT:
-            return QLaurent._raw(_mul_dicts(a, b))
-        return self._mul_packed(a, b)
+        return QLaurent._raw(_mul_terms({(0, 0): a}, {(0, 0): b}).get((0, 0), {}))
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def _mul_packed(a: dict, b: dict) -> "QLaurent":
-        """Exact product via evaluation at a large power of two.
-
-        Both operands are packed densely over their exponent span, one digit
-        per step of g (the gcd of all exponent offsets, so coefficients in
-        q^r get r times fewer digits), evaluated at 2^bits, multiplied as
-        Python integers, and the product digits are decoded in balanced form
-        (so signed coefficients are handled).
-        """
-        amin, bmin = min(a), min(b)
-        g = math.gcd(*(k - amin for k in a), *(k - bmin for k in b)) or 1
-        la = (max(a) - amin) // g + 1
-        lb = (max(b) - bmin) // g + 1
-        if la * lb > 64 * len(a) * len(b):
-            # Very sparse with huge gaps: fall back to the dict loop.
-            return QLaurent._raw(_mul_dicts(a, b))
-        maxa = max(abs(c) for c in a.values())
-        maxb = max(abs(c) for c in b.values())
-        width = _digit_width(maxa * maxb * min(len(a), len(b)))
-        prod = _pack(a, amin, la, width, g) * _pack(b, bmin, lb, width, g)
-        return QLaurent._raw(_unpack(prod, amin + bmin, la + lb - 1, width, g))
 
     def __pow__(self, e: int) -> "QLaurent":
         if not isinstance(e, int) or e < 0:

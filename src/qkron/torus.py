@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 
 from .errors import DivisionFailed, InvalidParameter
-from .qlaurent import ONE, QLaurent, _add_aligned, _digit_width, _pack, _power, _shift_add, _unpack
+from .qlaurent import (ONE, QLaurent, _digit_width, _max_coeff, _mul_packed_pairs, _mul_terms,
+                       _offset_gcd, _packed, _power, _unpack)
 
 
 class TorusElement:
@@ -23,21 +24,12 @@ class TorusElement:
     __slots__ = ("_t",)
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for key, c in items:
-                a, b = key
-                if not isinstance(c, QLaurent):
-                    c = QLaurent.const(c) if isinstance(c, int) else c
-                if c:
-                    nc = t.get((a, b))
-                    nc = c if nc is None else nc + c
-                    if nc:
-                        t[(a, b)] = nc
-                    else:
-                        del t[(a, b)]
-        self._t = t
+        checked = []
+        for (a, b), c in (terms.items() if hasattr(terms, "items") else terms or ()):
+            if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, (int, QLaurent))):
+                raise InvalidParameter("exponents must be int and coefficients int or QLaurent")
+            checked.append(((a, b), QLaurent.const(c) if isinstance(c, int) else c))
+        self._t = _add_terms({}, checked)
 
     @classmethod
     def _raw(cls, t: dict) -> "TorusElement":
@@ -100,15 +92,7 @@ class TorusElement:
     def __add__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
-        t = dict(self._t)
-        for key, c in other._t.items():
-            nc = t.get(key)
-            nc = c if nc is None else nc + c
-            if nc:
-                t[key] = nc
-            else:
-                del t[key]
-        return TorusElement._raw(t)
+        return TorusElement._raw(_add_terms(dict(self._t), other._t.items()))
 
     def __neg__(self):
         return TorusElement._raw({k: -c for k, c in self._t.items()})
@@ -125,19 +109,7 @@ class TorusElement:
             other = TorusElement.scalar(other)
         if not isinstance(other, TorusElement):
             return NotImplemented
-        if self._t and other._t and len(self._t) * len(other._t) >= 1024:
-            nnz1 = sum(len(c._t) for c in self._t.values())
-            nnz2 = sum(len(c._t) for c in other._t.values())
-            if nnz1 >= 3 * len(self._t) and nnz2 >= 3 * len(other._t):
-                return _mul_large(self._t, other._t)
-        acc: dict = {}
-        for (a1, b1), c1 in self._t.items():
-            for (a2, b2), c2 in other._t.items():
-                tgt = acc.setdefault((a1 + a2, b1 + b2), {})
-                _shift_add(tgt, (c1 * c2)._t, -2 * b1 * a2)
-        return TorusElement._raw(
-            {k: QLaurent._raw(d) for k, d in acc.items() if d}
-        )
+        return _mul_large(self._t, other._t)
 
     def __rmul__(self, other):
         if isinstance(other, QLaurent):
@@ -196,59 +168,29 @@ class TorusElement:
         )
 
 
-def _max_coeff(t: dict) -> int:
-    return max(abs(c) for q_ in t.values() for c in q_._t.values())
+def _add_terms(t: dict, items) -> dict:
+    """Add (key, QLaurent) pairs into t in place, dropping keys that cancel."""
+    for key, c in items:
+        nc = t.get(key)
+        nc = c if nc is None else nc + c
+        if nc:
+            t[key] = nc
+        else:
+            t.pop(key, None)
+    return t
 
 
-def _offset_gcd(*ts: dict) -> int:
-    """gcd of the exponent offsets inside the coefficients; 0 if all are one-term."""
-    return math.gcd(*(k - lo for t in ts for c in t.values() for lo in [min(c._t)] for k in c._t))
-
-
-def _packed(t: dict, width: int, g: int) -> list:
-    """[value, lo, hi] at stride g; a one-term coefficient packs alike at any g."""
-    lo, hi = min(t), max(t)
-    if lo == hi:
-        return [t[lo], lo, hi]
-    return [_pack(t, lo, (hi - lo) // g + 1, width, g), lo, hi]
+def _terms(t: dict) -> dict:
+    """The term map of a {(a, b): QLaurent} dict, for the qlaurent kernel."""
+    return {key: c._t for key, c in t.items()}
 
 
 def _mul_large(t1: dict, t2: dict) -> TorusElement:
-    """Product of two term dicts with all coefficients kept in packed
-    big-integer form until the very end.
-
-    Every coefficient is packed once at a common digit width and stride g;
-    each pair product is one integer multiplication and each collision one
-    ``_add_aligned``, so digits are decoded once per output term, not once
-    per pair.  No accumulated digit can reach half the base, so the balanced
-    decode is exact for signed coefficients.  g divides every exponent
-    offset inside a coefficient and every gap between the bases of pairs
-    that land on one key: q^r coefficients take r times fewer digits.
-    """
-    nnz = min(max(len(q_._t) for q_ in t.values()) for t in (t1, t2))
-    width = _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * min(len(t1), len(t2)))
-    g = _offset_gcd(t1, t2)
-    first: dict = {}
-    lows2 = [(a2, b2, min(c2._t)) for (a2, b2), c2 in t2.items()]
-    for (a1, b1), c1 in t1.items():
-        lo1 = min(c1._t)
-        for a2, b2, lo2 in lows2:
-            base = lo1 + lo2 - 2 * b1 * a2
-            g = math.gcd(g, base - first.setdefault((a1 + a2, b1 + b2), base))
-    g = g or 1
-
-    p2 = [(a, b, _packed(c._t, width, g)) for (a, b), c in t2.items()]
-    acc: dict = {}
-    for (a1, b1), c1 in t1.items():
-        v1, lo1, hi1 = _packed(c1._t, width, g)
-        for a2, b2, (v2, lo2, hi2) in p2:
-            sh = -2 * b1 * a2
-            _add_aligned(acc, (a1 + a2, b1 + b2), v1 * v2,
-                         lo1 + lo2 + sh, hi1 + hi2 + sh, g, 8 * width)
-    return TorusElement._raw({
-        key: QLaurent._raw(_unpack(val, lo, (hi - lo) // g + 1, width, g))
-        for key, (val, lo, hi) in acc.items()
-    })
+    """Normal-form product of two {(a, b): QLaurent} dicts: every torus
+    product runs here, through ``qlaurent._mul_terms``, which picks the pair
+    loop on dicts or the packed one from the operands."""
+    prod = _mul_terms(_terms(t1), _terms(t2))
+    return TorusElement._raw({key: QLaurent._raw(d) for key, d in prod.items()})
 
 
 X1 = TorusElement.monomial(1, 0)
@@ -284,17 +226,19 @@ def left_divide(d: TorusElement, n: TorusElement) -> TorusElement:
 
     (na, nb), (da, db) = zip(*n._t), zip(*d._t)
     box = (min(na) - max(da), max(na) - min(da), min(nb) - max(db), max(nb) - min(db))
-    quot, bound, g = None, _max_coeff(n._t), _offset_gcd(d._t, n._t) or 1
+    dt, nt = _terms(d._t), _terms(n._t)
+    quot, bound, g = None, _max_coeff(nt), _offset_gcd(dt, nt) or 1
     while quot is None:
-        quot, bound, g = _divide_packed(d._t, n._t, box, bound, g)
+        quot, bound, g = _divide_packed(dt, nt, box, bound, g)
     return TorusElement._raw(quot)
 
 
 def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
-    """One run of ``left_divide`` on a packed remainder: an entry [value,
-    lo, hi] per key, all at stride g and one digit width.  Each step decodes
-    the leading entry (the quotient term up to a unit) and subtracts each
-    other divisor term times it as one big-integer product.  While every
+    """One run of ``left_divide`` on term maps with a packed remainder: an
+    entry [value, lo, hi] per key, all at stride g and one digit width.  Each
+    step decodes the leading entry (the quotient term up to a unit) and
+    subtracts the other divisor terms times it with the kernel's packed pair
+    loop, one big-integer product per divisor term.  While every
     quotient coefficient is at most ``bound``, a remainder digit is a digit
     of n minus at most |d| digits of size maxc(d) * bound * maxnnz(d), so by
     induction every decode is exact.  Returns (quotient, bound, g); the
@@ -302,13 +246,13 @@ def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
     is then at least doubled) or a sum lands off the stride (g shrinks).
     """
     (ad, bd), cd = max(d.items())
-    ((kd2, sign),) = cd._t.items()
-    nnz = max(len(q_._t) for q_ in d.values())
+    ((kd2, sign),) = cd.items()
+    nnz = max(map(len, d.values()))
     width = _digit_width(_max_coeff(n) + len(d) * _max_coeff(d) * bound * nnz)
-    rem = {key: _packed(c._t, width, g) for key, c in n.items()}
+    rem = {key: _packed(c, width, g) for key, c in n.items()}
     # -d / sign without its leading term, whose product just cancels the popped entry
-    terms = [(a, b, _packed(c.scale(-sign)._t, width, g))
-             for (a, b), c in d.items() if (a, b) != (ad, bd)]
+    terms = {key: _packed({k: -sign * v for k, v in c.items()}, width, g)
+             for key, c in d.items() if key != (ad, bd)}
     amin, amax, bmin, bmax = box
     quot: dict = {}
     for _ in range((amax - amin + 1) * (bmax - bmin + 1) + 1):
@@ -329,9 +273,7 @@ def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
         if top > bound:
             return None, max(2 * bound, top), g
         quot[(az, bz)] = QLaurent._raw(cz)
-        for a1, b1, (v1, lo1, hi1) in terms:
-            key = (a1 + az, b1 + bz)
-            base = lo1 + lo - 2 * b1 * az
-            if not _add_aligned(rem, key, v1 * val, base, hi1 + hi - 2 * b1 * az, g, 8 * width):
-                return None, bound, math.gcd(g, base - rem[key][1])
+        gap = _mul_packed_pairs(rem, terms, {(az, bz): (val, lo, hi)}, g, 8 * width)
+        if gap:
+            return None, bound, math.gcd(g, gap)
     raise DivisionFailed("division did not terminate within the support box")

@@ -191,7 +191,7 @@ def test_packed_mul_large_signed(monkeypatch):
     dict_products = []
     mul_dicts = qlmod._mul_dicts
     monkeypatch.setattr(
-        qlmod, "_mul_dicts", lambda x, y: dict_products.append(1) or mul_dicts(x, y)
+        qlmod, "_mul_dicts", lambda *args: dict_products.append(1) or mul_dicts(*args)
     )
     for x, y, packed in ((a, b, True), (c, d, False)):
         expected = {}

@@ -114,6 +114,14 @@ def test_division_roundtrip(d, z):
     assert left_divide(d, d * z) == z
 
 
+def test_construction_rejects_non_integer_terms():
+    for terms in ({(0, 0): 1.5}, {(0.5, 1): 1}, {(1, 2.0): ONE}, {(0, 0): "q"}):
+        with pytest.raises(InvalidParameter):
+            TorusElement(terms)
+    assert TorusElement({(1, -2): 3}) == TorusElement.monomial(1, -2, QLaurent.const(3))
+    assert TorusElement([((0, 0), 0), ((1, 0), 2), ((1, 0), -2)]) == TorusElement.zero()
+
+
 def test_json_roundtrip():
     e = TorusElement.monomial(-2, 3, QLaurent({1: 7})) + TorusElement.monomial(
         0, -1, QLaurent({-4: -2})
@@ -174,23 +182,62 @@ def test_large_product_stride_covers_accumulation_gaps():
     assert _mul_large(a._t, b._t) == _bilinear(a, b)
 
 
-def test_recursion_packs_on_the_2r_lattice(monkeypatch):
+def test_product_kernel_accumulates_in_place():
+    from qkron.qlaurent import _mul_terms
+    from qkron.torus import _terms
+
+    # the dense pair takes the packed loop, the one-term block the dict loop;
+    # acc holds minus the product at (1, 1) and something else at (9, 9)
+    c = QLaurent({4 * i: i + 1 for i in range(5)})
+    for a, b in (({(0, 1): c, (1, 0): c}, {(1, 0): c, (0, 1): c}), ({(1, 0): ONE}, {(0, 1): c})):
+        a, b = TorusElement(a), TorusElement(b)
+        want = a * b
+        acc = {(1, 1): (-want.coeff(1, 1))._t, (9, 9): {0: 1}}
+        got = _mul_terms(_terms(a._t), _terms(b._t), acc)
+        assert got is acc
+        assert TorusElement(((k, QLaurent(d)) for k, d in acc.items())) == (
+            want - TorusElement.monomial(1, 1, want.coeff(1, 1)) + TorusElement.monomial(9, 9))
+        assert (1, 1) not in acc
+
+
+def _spy_pack(monkeypatch, check):
+    """Call check(t, length, step) before every packing, in each module that
+    binds ``_pack``."""
     import qkron.qlaurent as qlmod
     import qkron.torus as tmod
-    from qkron.cluster import gr_table, xvar_recursive
 
-    steps = []
     pack = qlmod._pack
 
     def spy(t, lo, length, width, step=1):
-        steps.append(step)
+        check(t, length, step)
         return pack(t, lo, length, width, step)
 
-    monkeypatch.setattr(qlmod, "_pack", spy)
-    monkeypatch.setattr(tmod, "_pack", spy)
+    for mod in (qlmod, tmod):
+        if "_pack" in vars(mod):
+            monkeypatch.setattr(mod, "_pack", spy)
+
+
+def test_recursion_packs_on_the_2r_lattice(monkeypatch):
+    from qkron.cluster import gr_table, xvar_recursive
+
+    steps = []
+    _spy_pack(monkeypatch, lambda t, length, step: steps.append(step))
     xvar_recursive.cache_clear()
     gr_table(3, 6)
     assert steps and set(steps) == {6}
+
+
+def test_sparse_spans_multiply_pair_by_pair(monkeypatch):
+    # 1 + q + q^2 + q^50000 spans 50001 digits with 4 terms: packing the
+    # 1024 pairs densely takes tens of seconds, the dict loop milliseconds
+    def check(t, length, step):
+        assert length <= 64 * len(t), f"packed {len(t)} terms into {length} digits"
+
+    _spy_pack(monkeypatch, check)
+    c = QLaurent({0: 1, 2: 1, 4: 1, 100000: 1})
+    a = TorusElement(((i % 8, i // 8), c.shift2(i)) for i in range(32))
+    b = TorusElement(((i // 4 - 3, i % 4), c) for i in range(32))
+    assert a * b == _bilinear(a, b)
 
 
 def _spy_runs(monkeypatch):
@@ -241,6 +288,29 @@ def test_left_divide_refines_the_stride_off_the_lattice(monkeypatch):
     z = z - TorusElement.monomial(1, 1, big)
     assert left_divide(d, d * z) == z
     assert [g for _, g in runs] == [4, 2]
+
+
+def test_left_divide_width_covers_every_divisor_term_and_coefficient_term(monkeypatch):
+    # d = X1^25 + sum_S P X1^i and z = sum_S B*P X1^-i: the products P * B*P
+    # all meet at X1^0 and nowhere else (S has distinct differences), so n,
+    # with its X1^0 coefficient replaced by 1, keeps |coefficients| <= B.
+    # The remainder at X1^0 then reaches the half base of a width without
+    # the |d| factor (5 one-term products) or without the max-terms factor
+    # (one product of 7-term coefficients) before it is decoded.  Decoded
+    # exactly, it restarts the division with its true top coefficient as
+    # the bound, and the next quotient term escapes the box.
+    runs = _spy_runs(monkeypatch)
+    p7 = QLaurent({2 * i: 1 for i in range(7)})
+    for big, support, p in ((8191, (0, 1, 3, 7, 12), ONE), (5461, (0,), p7)):
+        d = TorusElement.monomial(25, 0) + TorusElement(((i, 0), p) for i in support)
+        n = d * TorusElement(((-i, 0), p.scale(big)) for i in support)
+        rest = ONE - n.coeff(0, 0)
+        n = n + TorusElement.scalar(rest)
+        assert max(abs(c) for _, q_ in n.items() for _, c in q_.items2()) == big
+        runs.clear()
+        with pytest.raises(DivisionFailed):
+            left_divide(d, n)
+        assert [b for b, _ in runs] == [big, max(abs(c) for _, c in rest.items2())]
 
 
 def test_left_divide_rejects_an_inexact_packed_division(monkeypatch):
