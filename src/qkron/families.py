@@ -22,6 +22,7 @@ the test-suite on every desk-size instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from .qlaurent import QLaurent, _mul_terms, c_sequence
+from .qlaurent import QLaurent, _add_aligned, _digit_width, _unpack, c_sequence
 from .torus import TorusElement, word_to_torus
 
 DEFAULT_FAMILY_BUDGET = 30_000_000
@@ -85,7 +86,7 @@ class Family:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def path_elements(path: DyckPath):
     """Element pool: subpaths sorted by (i, k), then single edges by index."""
     els = []
@@ -220,6 +221,14 @@ def enumerate_families(path: DyckPath):
 # subpath ends flush at the previous edge (for the shared-endpoint rule).
 # Memoizing on that state turns the family sum into a small table
 # computation while remaining exactly the same sum.
+#
+# A memo value maps each torus key (A, B) to one packed entry [value, lo,
+# hi]: the coefficient's digits on the doubled exponents lo, lo + g, ...,
+# hi, as one big integer (see ``qlaurent._add_aligned``).  Every digit of
+# every partial sum counts suffix completions of a reachable state, and
+# each completion extends one prefix reaching that state to a distinct
+# family, so all digits lie in [0, count_families]; a digit width taken
+# from that count therefore makes every decode exact.
 
 
 @dataclass(frozen=True)
@@ -291,7 +300,7 @@ class _DpTables:
             )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _dp_tables(path: DyckPath) -> _DpTables:
     return _DpTables(path)
 
@@ -329,39 +338,64 @@ def _scan(path: DyckPath, leaf, new, add):
         memo[key] = total
         return total
 
-    return rec(1, 0, False)
-
-
-def _count_suffix(path: DyckPath) -> int:
-    return _scan(path, 1, int, lambda total, blk, sub: total + sub)
-
-
-def _accum(out: dict, blk: tuple, sub: dict) -> dict:
-    """Add the block (A1, B1, e1) times the suffix term map into out."""
-    A1, B1, e1 = blk
-    return _mul_terms({(A1, B1): {e1: 1}}, sub, out)
+    try:
+        return rec(1, 0, False)
+    finally:
+        memo.clear()  # rec refers to itself, so only a full GC would free the memo
 
 
 def count_families(r: int, n: int) -> int:
     """Number of compatible families of the (r, n) path."""
-    return _count_suffix(build_dyck(r, n))
+    return _scan(build_dyck(r, n), 1, int, lambda total, blk, sub: total + sub)
 
 
-@lru_cache(maxsize=None)
+class _OffStride(Exception):
+    """A scan sum landed off the stride; args[0] is its gap."""
+
+
+@lru_cache(maxsize=16)
+def _expand(r: int, n: int, count: int, g: int) -> TorusElement:
+    """xvar_enum(r, n) without the budget: the packed scan (see above) at
+    the digit width count = count_families(r, n) proves and stride g.  A sum
+    that lands off the stride reruns it at the gcd of the stride and gap."""
+    width = _digit_width(count)
+    bits = 8 * width
+
+    def add(total, blk, sub):
+        # qlaurent._twisted with the monomial q^(e1/2) X1^A1 X2^B1 written out
+        A1, B1, e1 = blk
+        for (a, b), (v, lo, hi) in sub.items():
+            sh, key = e1 - 2 * B1 * a, (A1 + a, B1 + b)
+            if not _add_aligned(total, key, v, lo + sh, hi + sh, g, bits):
+                raise _OffStride(lo + sh - total[key][1])
+        return total
+
+    while True:
+        try:
+            root = _scan(build_dyck(r, n), {(-1, 0): [1, 0, 0]}, dict, add)
+            break
+        except _OffStride as off:
+            g = math.gcd(g, off.args[0])
+    # the scan ends on X1^-1; multiplying by q X1 on the left adds 1 to the
+    # X1-degree and 2 to every doubled exponent
+    return TorusElement._raw({
+        (a + 1, b): QLaurent._raw(_unpack(v, lo + 2, (hi - lo) // g + 1, width, g))
+        for (a, b), (v, lo, hi) in root.items()
+    })
+
+
 def xvar_enum(r: int, n: int, budget: int | None = DEFAULT_FAMILY_BUDGET) -> TorusElement:
     """Cluster variable by family expansion: the sum over all compatible
     families of q * X1 * (ordered product of specialized edge weights) * X1^-1.
 
-    Equals q^(1/2) times the recursion route for the same (r, n).
+    Equals q^(1/2) times the recursion route for the same (r, n).  The
+    family count is checked against ``budget`` before the scan runs.
     """
     if not isinstance(n, int) or n < 4:
         raise InvalidParameter(f"family expansion needs n >= 4, got {n}")
-    path = build_dyck(r, n)
-    count = _count_suffix(path)
+    count = count_families(r, n)
     if budget is not None and count > budget:
         raise BudgetExceeded(
             f"{count} families exceed the configured budget of {budget}"
         )
-    # the scan ends on X1^-1 and the sum is multiplied by q X1 on the left
-    terms = _mul_terms({(1, 0): {2: 1}}, _scan(path, {(-1, 0): {0: 1}}, dict, _accum))
-    return TorusElement._raw({key: QLaurent._raw(d) for key, d in terms.items()})
+    return _expand(r, n, count, 2 * r)

@@ -131,8 +131,9 @@ def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) ->
 #
 # A term map {(a, b): {doubled exponent: int}} stands for the quantum-torus
 # element sum c_{a,b}(q) X1^a X2^b; a QLaurent is the one-key map {(0, 0): t}.
-# Every product of such maps, in QLaurent, the torus, its division and the
-# family scan, goes through _twisted and one of the two pair loops below.
+# Every product of such maps, in QLaurent, the torus and its division, goes
+# through _twisted and one of the two pair loops below; the family scan
+# only multiplies by monomials and writes that case out.
 
 
 def _twisted(t1: dict, t2: dict):

@@ -79,7 +79,9 @@ def test_criterion_3_bridge_identity():
 def test_criterion_3_extended_bridge():
     t0 = time.perf_counter()
     ok = xvar_enum(3, 6) == xvar_recursive(3, 6).scale2(1)
-    _report(3, "extended gate (r=3, n=6, 5403014 families)", ok,
+    # (4, 6) has 1.8e17 families, beyond the default family budget
+    ok = ok and xvar_enum(4, 6, budget=None) == xvar_recursive(4, 6).scale2(1)
+    _report(3, "extended gate (r=3, n=6, 5403014 families; r=4, n=6)", ok,
             time.perf_counter() - t0, 1800)
 
 
@@ -165,7 +167,7 @@ def test_slow_desk_envelope():
 @pytest.mark.skipif(
     os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable"
 )
-@pytest.mark.parametrize("r, n", [(4, 6), (3, 7)])
+@pytest.mark.parametrize("r, n", [(4, 6), (3, 7), (5, 6)])
 def test_slow_bridge_beyond_the_family_budget(r, n):
     # the default family budget keeps these pairs out of the bridge suite
     t0 = time.perf_counter()

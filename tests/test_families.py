@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from qkron import families
 from qkron.cluster import xvar_recursive
 from qkron.dyck import build_dyck
 from qkron.errors import BudgetExceeded, IndexOutOfRange
@@ -15,7 +18,7 @@ from qkron.families import (
     path_elements,
     xvar_enum,
 )
-from qkron.qlaurent import QLaurent, c_sequence
+from qkron.qlaurent import QLaurent, _add_aligned, c_sequence
 from qkron.torus import TorusElement
 
 
@@ -125,6 +128,51 @@ def test_bridge_small():
 def test_budget():
     with pytest.raises(BudgetExceeded):
         xvar_enum(2, 6, budget=3)
+
+
+def test_budget_is_checked_outside_the_cache():
+    # one cached element per (r, n), whatever the budget; a cached element
+    # is still refused when the family count exceeds the budget
+    assert xvar_enum(2, 6) is xvar_enum(2, 6, budget=None)
+    with pytest.raises(BudgetExceeded):
+        xvar_enum(2, 6, budget=3)
+
+
+@pytest.mark.parametrize("r, n, g", [(2, 6, 5), (3, 5, 9)])
+def test_off_stride_sum_reruns_the_scan(monkeypatch, r, n, g):
+    # a start stride that the scan sums do not respect must restart the scan
+    # at a finer one and still give the literal family sum
+    results = []
+
+    def spy(*args):
+        results.append(_add_aligned(*args))
+        return results[-1]
+
+    monkeypatch.setattr(families, "_add_aligned", spy)
+    got = families._expand.__wrapped__(r, n, count_families(r, n), g)  # uncached
+    assert False in results
+    total = TorusElement.zero()
+    path = build_dyck(r, n)
+    for fam in enumerate_families(path):
+        total = total + family_term(path, fam)
+    assert got == total
+
+
+def test_scan_memo_stays_small():
+    # the packed memo holds one integer per torus key; the dict-of-dicts
+    # memo it replaced peaked at 13.8 MB at (6, 5)
+    xvar_enum(6, 5, budget=None)  # warm the path and table caches
+    families._expand.cache_clear()
+    tracemalloc.start()
+    try:
+        got = xvar_enum(6, 5, budget=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.8e6 / 2
+    # its coefficients reach 26 bits, so a digit width narrower than the one
+    # proven by the family count (3.8e10) carries between digits here
+    assert got == xvar_recursive(6, 5).scale2(1)
 
 
 def test_green_needs_companion():
