@@ -58,7 +58,7 @@ def _xvar(args):
     if args.method == "enum":
         el = families.xvar_enum(r, n, args.budget)
     else:
-        el = cluster.xvar_recursive(r, n, args.max_terms)
+        el = cluster.xvar_recursive(r, n)
     # render only the form that is printed
     return (str(el), None) if args.fmt != "json" else ("", el.to_obj())
 
@@ -169,7 +169,6 @@ def _build_parser():
     sp = command("xvar", _xvar, "cluster variable as a torus element")
     sp.add_argument("--method", choices=("recursion", "enum"), default="recursion")
     sp.add_argument("--budget", type=int, default=families.DEFAULT_FAMILY_BUDGET)
-    sp.add_argument("--max-terms", type=int, default=cluster.DEFAULT_MAX_TERMS)
 
     command("grtable", _grtable, "per-dimension-vector polynomials")
 

@@ -22,8 +22,9 @@ from .errors import BudgetExceeded, ExtractionFailed, InvalidParameter
 from .qlaurent import ONE, QLaurent, c_sequence
 from .torus import TorusElement, left_divide
 
-DEFAULT_MAX_TERMS = 500_000
-DEFAULT_MAX_COEFF_BITS = 1 << 22
+# Each recursion step is refused, and so never cached, past these sizes.
+MAX_TERMS = 500_000
+MAX_COEFF_BITS = 1 << 22
 
 
 def dim_vector(r: int, n: int):
@@ -33,28 +34,24 @@ def dim_vector(r: int, n: int):
     return c_sequence(r, n - 1), c_sequence(r, n - 2)
 
 
-@lru_cache(maxsize=None)
-def xvar_recursive(r: int, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> TorusElement:
-    """n-th cluster variable computed forward from the generators."""
+@lru_cache(maxsize=128)
+def xvar_recursive(r: int, n: int) -> TorusElement:
+    """n-th cluster variable: X1, X2, then one exact left division per step
+    of the exchange relation, from the cached X_{n-2} and X_{n-1}."""
     if not isinstance(r, int) or r < 2:
         raise InvalidParameter(f"r must be an integer >= 2, got {r}")
     if not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"n must be an integer >= 1, got {n}")
-    prev2 = TorusElement.monomial(1, 0)
-    prev = TorusElement.monomial(0, 1)
-    if n == 1:
-        return prev2
-    for _ in range(3, n + 1):
-        numerator = (prev**r).scale2(r) + TorusElement.one()
-        cur = left_divide(prev2, numerator)
-        if cur.num_terms() > max_terms:
-            raise BudgetExceeded(
-                f"{cur.num_terms()} torus terms exceed the cap of {max_terms}"
-            )
-        if cur.max_coeff_bits() > DEFAULT_MAX_COEFF_BITS:
-            raise BudgetExceeded("coefficient size exceeds the configured cap")
-        prev2, prev = prev, cur
-    return prev
+    if n <= 2:
+        return TorusElement.monomial(1, 0) if n == 1 else TorusElement.monomial(0, 1)
+    prev2 = xvar_recursive(r, n - 2)
+    numerator = (xvar_recursive(r, n - 1) ** r).scale2(r) + TorusElement.one()
+    cur = left_divide(prev2, numerator)
+    if cur.num_terms() > MAX_TERMS:
+        raise BudgetExceeded(f"{cur.num_terms()} torus terms exceed the cap of {MAX_TERMS}")
+    if cur.max_coeff_bits() > MAX_COEFF_BITS:
+        raise BudgetExceeded("coefficient size exceeds the configured cap")
+    return cur
 
 
 @dataclass

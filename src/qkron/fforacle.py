@@ -264,14 +264,16 @@ def _check_cap(mod: FFModule, u: int, cap: int) -> None:
         raise BudgetExceeded(f"Gr_{u}(F_{mod.p}^{mod.d2}) exceeds the cap {cap}")
 
 
-@lru_cache(maxsize=None)
-def _preimage_dim_hist(mod: FFModule, u: int, cap: int):
+# The histograms are keyed on (module, dimension) only: callers check the cap
+# before asking, so a refused call caches nothing and a second cap reuses them.
+# A criterion-5 pass over the ten FF_CONFIGS holds about 120 of them.
+@lru_cache(maxsize=1024)
+def _preimage_dim_hist(mod: FFModule, u: int):
     """Histogram {dim(intersection of phi_k^{-1}(U)) : U in Gr_u(F_p^{d2})}.
 
     U is enumerated through its annihilator W in Gr_{d2-u}(F_p^{d2}), and
     the preimage has dimension d1 - rank{w . phi_k : w in a basis of W}.
     """
-    _check_cap(mod, u, cap)
     hist: dict = {}
     d1, d2, p = mod.d1, mod.d2, mod.p
     # 0 < u < d2 enumerates at least 2^d2 - 1 subspaces, which bounds the
@@ -301,8 +303,8 @@ def _preimage_dim_hist(mod: FFModule, u: int, cap: int):
     return hist
 
 
-@lru_cache(maxsize=None)
-def _image_dim_hist(mod: FFModule, s: int, cap: int):
+@lru_cache(maxsize=1024)
+def _image_dim_hist(mod: FFModule, s: int):
     """Histogram {dim(sum_k phi_k(U)) : U in Gr_s(F_p^{d1})} -> count.
 
     Nothing is enumerated on the first vertex.  Counting the pairs (U, U2)
@@ -315,10 +317,9 @@ def _image_dim_hist(mod: FFModule, s: int, cap: int):
     substitution in exact integers.
     """
     d2, p = mod.d2, mod.p
-    _check_cap(mod, d2 // 2, cap)  # the largest Gr_u(F_p^{d2}), before any enumeration
     h: list = []
     for u in range(d2 + 1):
-        pairs = count_gr(mod, s, u, cap)
+        pairs = _count_gr(mod, s, u)
         h.append(pairs - sum(h[w] * _num_subspaces(p, d2 - w, u - w) for w in range(u)))
     return {w: c for w, c in enumerate(h) if c}
 
@@ -333,7 +334,13 @@ def count_gr(mod: FFModule, e1: int, e2: int, cap: int = DEFAULT_SUBSPACE_CAP) -
     """
     if not 0 <= e1 <= mod.d1 or not 0 <= e2 <= mod.d2:
         raise InvalidParameter(f"({e1}, {e2}) outside the dimension box")
-    hist = _preimage_dim_hist(mod, e2, cap)
+    _check_cap(mod, e2, cap)
+    return _count_gr(mod, e1, e2)
+
+
+def _count_gr(mod: FFModule, e1: int, e2: int) -> int:
+    """``count_gr`` once the cap is checked."""
+    hist = _preimage_dim_hist(mod, e2)
     return sum(cnt * _num_subspaces(mod.p, w, e1) for w, cnt in hist.items())
 
 
@@ -362,13 +369,15 @@ def count_strata(
     if side in ("z", "zbar"):
         if s > mod.d1:
             raise InvalidParameter(f"s must lie in 0..{mod.d1} on this side")
-        hist = _image_dim_hist(mod, s, cap)
+        _check_cap(mod, mod.d2 // 2, cap)  # the largest Gr_u(F_p^{d2}) it enumerates
+        hist = _image_dim_hist(mod, s)
         if side == "z":
             return hist.get(mod.d2 - p_param, 0)
         return sum(c for w, c in hist.items() if w <= mod.d2 - p_param)
     if s > mod.d2:
         raise InvalidParameter(f"s must lie in 0..{mod.d2} on this side")
-    hist = _preimage_dim_hist(mod, mod.d2 - s, cap)
+    _check_cap(mod, mod.d2 - s, cap)
+    hist = _preimage_dim_hist(mod, mod.d2 - s)
     if side == "zp":
         return hist.get(p_param, 0)
     return sum(c for w, c in hist.items() if w >= p_param)

@@ -218,7 +218,8 @@ def _mul_terms(t1: dict, t2: dict, acc: dict | None = None) -> dict:
     width = _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * min(len(t1), len(t2)))
     prod: dict = {}
     p1, p2 = ({key: _packed(d, width, g) for key, d in t.items()} for t in (t1, t2))
-    _mul_packed_pairs(prod, p1, p2, g, 8 * width)
+    if _mul_packed_pairs(prod, p1, p2, g, 8 * width):
+        raise AssertionError("packed product landed off its stride")
     for key, (val, lo, hi) in prod.items():
         d = _unpack(val, lo, (hi - lo) // g + 1, width, g)
         tgt = acc.get(key)
@@ -459,32 +460,12 @@ class QLaurent:
             return "q" if e == 1 else f"q^{e}"
         return f"q^({k2}/2)"
 
-    def __str__(self) -> str:
-        """Canonical text form: terms by ascending exponent."""
-        if not self._t:
-            return "0"
-        parts = []
-        for k2, c in self.items2():
-            base = self._exp_str(k2)
-            mag = abs(c)
-            if not base:
-                body = str(mag)
-            elif mag == 1:
-                body = base
-            else:
-                body = f"{mag}*{base}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
-
-    def format_descending(self) -> str:
-        """Compact descending form, e.g. ``q^73+2q^72-5q^58+...+q+1``."""
+    def _render(self, items, times: str, sep: str) -> str:
+        """Terms in the given order: sign, magnitude unless 1, q-power."""
         if not self._t:
             return "0"
         out = []
-        for k2, c in sorted(self._t.items(), reverse=True):
+        for k2, c in items:
             base = self._exp_str(k2)
             mag = abs(c)
             if not base:
@@ -492,12 +473,18 @@ class QLaurent:
             elif mag == 1:
                 body = base
             else:
-                body = f"{mag}{base}"
-            if not out:
-                out.append(("-" if c < 0 else "") + body)
-            else:
-                out.append(("-" if c < 0 else "+") + body)
+                body = f"{mag}{times}{base}"
+            sign = "-" if c < 0 else "+" if out else ""
+            out.append(f"{sep}{sign}{sep}{body}" if out else sign + body)
         return "".join(out)
+
+    def __str__(self) -> str:
+        """Canonical text form: terms by ascending exponent."""
+        return self._render(self.items2(), "*", " ")
+
+    def format_descending(self) -> str:
+        """Compact descending form, e.g. ``q^73+2q^72-5q^58+...+q+1``."""
+        return self._render(sorted(self._t.items(), reverse=True), "", "")
 
     def __repr__(self) -> str:
         return f"QLaurent({self})"

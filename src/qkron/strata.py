@@ -37,24 +37,27 @@ def q_binomial_matrix(size: int):
     ]
 
 
+def _open_weight(e1: int, p: int) -> QLaurent:
+    """(-1)^(e1-p) q^C(e1-p,2) [e1 choose p]_q, the weight of P_{e1,e2} in Z'(p)."""
+    w = q_binomial(e1, p).shift2(2 * math.comb(e1 - p, 2))
+    return -w if (e1 - p) % 2 else w
+
+
+def _closed_weight(e1: int, p: int) -> QLaurent:
+    """(-1)^(e1-p) q^C(e1-p+1,2) [e1-1 choose e1-p]_q, its weight in Zbar'(p)."""
+    w = q_binomial(e1 - 1, e1 - p).shift2(2 * math.comb(e1 - p + 1, 2))
+    return -w if (e1 - p) % 2 else w
+
+
 def transform_matrix(size: int):
-    """Inverse of ``q_binomial_matrix``: (i, j) entry
-    (-1)^(j-i) q^C(j-i,2) [j choose i]_q for i <= j, zero below."""
+    """Inverse of ``q_binomial_matrix``: (i, j) entry ``_open_weight(j, i)``
+    for i <= j, zero below."""
     if size < 1:
         raise InvalidParameter("matrix size must be positive")
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i > j:
-                row.append(QLaurent.zero())
-                continue
-            ent = q_binomial(j, i).shift2(2 * math.comb(j - i, 2))
-            if (j - i) % 2:
-                ent = -ent
-            row.append(ent)
-        out.append(row)
-    return out
+    return [
+        [_open_weight(j, i) if i <= j else QLaurent.zero() for j in range(size)]
+        for i in range(size)
+    ]
 
 
 @dataclass
@@ -102,13 +105,8 @@ def strata_from_gr(table: GrTable, e2: int) -> StrataTable:
             poly = col[e1]
             if not poly:
                 continue
-            sign = -1 if (e1 - p) % 2 else 1
-            zp = zp + (poly * q_binomial(e1, p)).shift2(
-                2 * math.comb(e1 - p, 2)
-            ).scale(sign)
-            zb = zb + (poly * q_binomial(e1 - 1, e1 - p)).shift2(
-                2 * math.comb(e1 - p + 1, 2)
-            ).scale(sign)
+            zp = zp + poly * _open_weight(e1, p)
+            zb = zb + poly * _closed_weight(e1, p)
         zprime[p] = zp
         zbarprime[p] = zb
     # The closed strata must be the tails of the open ones.
@@ -164,10 +162,7 @@ def closed_zbar_m6(r: int, p: int) -> QLaurent:
         poly = closed_gr_m6(r, e1)
         if not poly:
             continue
-        sign = -1 if (e1 - p) % 2 else 1
-        total = total + (poly * q_binomial(e1 - 1, e1 - p)).shift2(
-            2 * math.comb(e1 - p + 1, 2)
-        ).scale(sign)
+        total = total + poly * _closed_weight(e1, p)
     return total
 
 

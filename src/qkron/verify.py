@@ -139,13 +139,13 @@ def _random_qlaurent(rng):
     )
 
 
-def _random_torus(rng, max_terms=3):
+def _random_torus(rng):
     return TorusElement(
         (
             (rng.randrange(-3, 4), rng.randrange(-3, 4)),
             _random_qlaurent(rng),
         )
-        for _ in range(rng.randrange(0, max_terms + 1))
+        for _ in range(rng.randrange(0, 4))
     )
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from qkron import cluster
 from qkron.cluster import (
     GrTable,
     assemble_xvar,
@@ -9,7 +10,7 @@ from qkron.cluster import (
 )
 from qkron.errors import BudgetExceeded, InvalidParameter
 from qkron.qlaurent import ONE, QLaurent, c_sequence, q
-from qkron.torus import TorusElement
+from qkron.torus import TorusElement, left_divide
 
 
 def test_generators():
@@ -47,13 +48,47 @@ def test_commutation():
             assert a * b == (b * a).scale2(2)
 
 
-def test_invalid_parameters():
+def _spy_divisions(monkeypatch):
+    calls = []
+
+    def spy(d, n):
+        calls.append(n)
+        return left_divide(d, n)
+
+    monkeypatch.setattr(cluster, "left_divide", spy)
+    return calls
+
+
+def test_invalid_parameters(monkeypatch):
     with pytest.raises(InvalidParameter):
         xvar_recursive(1, 4)
     with pytest.raises(InvalidParameter):
         xvar_recursive(2, 0)
+    xvar_recursive.cache_clear()
+    monkeypatch.setattr(cluster, "MAX_TERMS", 10)
     with pytest.raises(BudgetExceeded):
-        xvar_recursive(3, 6, 10)
+        xvar_recursive(3, 6)
+    # X_5 (19 terms) was refused and not cached: asking again divides again
+    calls = _spy_divisions(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        xvar_recursive(3, 5)
+    assert len(calls) == 1
+
+
+def test_chain_extends_the_cache(monkeypatch):
+    xvar_recursive.cache_clear()
+    x5 = xvar_recursive(3, 5)
+    calls = _spy_divisions(monkeypatch)
+    # either cap below X_6 (100 terms, 14-bit coefficients) refuses the one step
+    for name, cap in (("MAX_TERMS", x5.num_terms()), ("MAX_COEFF_BITS", 4)):
+        with monkeypatch.context() as m:
+            m.setattr(cluster, name, cap)
+            with pytest.raises(BudgetExceeded):
+                xvar_recursive(3, 6)
+    assert len(calls) == 2
+    x6 = xvar_recursive(3, 6)
+    assert x6.num_terms() == 100 and len(calls) == 3
+    assert xvar_recursive(3, 6) is x6 and len(calls) == 3
 
 
 def test_dim_vector():

@@ -4,6 +4,7 @@ from qkron.cluster import gr_table
 from qkron.errors import BudgetExceeded, InvalidParameter
 from qkron.fforacle import (
     FFModule,
+    _image_dim_hist,
     _iter_bases_gfp,
     _preimage_dim_hist,
     _rank_modp,
@@ -76,6 +77,18 @@ def test_count_gr_budget():
         with pytest.raises(BudgetExceeded):
             count_strata(mod, side, 0, 4, cap=6)
     assert _preimage_dim_hist.cache_info() == before
+
+
+def test_histograms_are_shared_across_caps():
+    mod = build_module(2, 3, 5)
+    counts = [count_gr(mod, 4, 2, cap=cap) for cap in (7, 8)]
+    zbars = [count_strata(mod, "zbar", 1, 4, cap=cap) for cap in (7, 8)]
+    before = (_preimage_dim_hist.cache_info(), _image_dim_hist.cache_info())
+    assert count_gr(mod, 4, 2, cap=10**6) == counts[0] == counts[1]
+    assert count_strata(mod, "zbar", 1, 4, cap=10**6) == zbars[0] == zbars[1]
+    after = (_preimage_dim_hist.cache_info(), _image_dim_hist.cache_info())
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1]
+    assert [a.misses for a in after] == [b.misses for b in before]
 
 
 def test_count_gr_wide_second_vertex():

@@ -246,3 +246,13 @@ def test_json_roundtrip():
 def test_shift_scale(p):
     assert p.shift2(4).shift2(-4) == p
     assert p.scale(3) == p + p + p
+
+
+def test_packed_mul_refuses_an_off_stride_sum(monkeypatch):
+    import qkron.qlaurent as qlmod
+
+    a = QLaurent({2 * i: i + 1 for i in range(20)})
+    pairs = qlmod._mul_packed_pairs
+    monkeypatch.setattr(qlmod, "_mul_packed_pairs", lambda *args: pairs(*args) or 2)
+    with pytest.raises(AssertionError, match="off its stride"):
+        a * a
