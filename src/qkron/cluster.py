@@ -34,7 +34,7 @@ def dim_vector(r: int, n: int):
     return c_sequence(r, n - 1), c_sequence(r, n - 2)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def xvar_recursive(r: int, n: int) -> TorusElement:
     """n-th cluster variable: X1, X2, then one exact left division per step
     of the exchange relation, from the cached X_{n-2} and X_{n-1}."""
@@ -44,8 +44,11 @@ def xvar_recursive(r: int, n: int) -> TorusElement:
         raise InvalidParameter(f"n must be an integer >= 1, got {n}")
     if n <= 2:
         return TorusElement.monomial(1, 0) if n == 1 else TorusElement.monomial(0, 1)
-    prev2 = xvar_recursive(r, n - 2)
-    numerator = (xvar_recursive(r, n - 1) ** r).scale2(r) + TorusElement.one()
+    try:
+        prev2 = xvar_recursive(r, n - 2)
+        numerator = (xvar_recursive(r, n - 1) ** r).scale2(r) + TorusElement.one()
+    except RecursionError:  # raised while descending the cold chain, before any work
+        raise BudgetExceeded("the uncached chain is deeper than Python's recursion limit") from None
     cur = left_divide(prev2, numerator)
     if cur.num_terms() > MAX_TERMS:
         raise BudgetExceeded(f"{cur.num_terms()} torus terms exceed the cap of {MAX_TERMS}")

@@ -67,7 +67,7 @@ class DyckPath:
         return self.coords[self.v_edge[j]]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def build_dyck(r: int, n: int) -> DyckPath:
     """Construct the maximal Dyck path for (r, n) and validate it.
 

@@ -33,7 +33,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from .qlaurent import QLaurent, _add_aligned, _digit_width, _unpack, c_sequence
+from .qlaurent import QLaurent, _add_aligned, _decode, _digit_width, _OffStride, c_sequence
 from .torus import TorusElement, word_to_torus
 
 DEFAULT_FAMILY_BUDGET = 30_000_000
@@ -340,6 +340,9 @@ def _scan(path: DyckPath, leaf, new, add):
 
     try:
         return rec(1, 0, False)
+    except RecursionError:  # rec recurses once per edge
+        raise BudgetExceeded(f"the scan over {tb.N} edges is deeper than Python's "
+                             "recursion limit") from None
     finally:
         memo.clear()  # rec refers to itself, so only a full GC would free the memo
 
@@ -347,10 +350,6 @@ def _scan(path: DyckPath, leaf, new, add):
 def count_families(r: int, n: int) -> int:
     """Number of compatible families of the (r, n) path."""
     return _scan(build_dyck(r, n), 1, int, lambda total, blk, sub: total + sub)
-
-
-class _OffStride(Exception):
-    """A scan sum landed off the stride; args[0] is its gap."""
 
 
 @lru_cache(maxsize=16)
@@ -365,9 +364,8 @@ def _expand(r: int, n: int, count: int, g: int) -> TorusElement:
         # qlaurent._twisted with the monomial q^(e1/2) X1^A1 X2^B1 written out
         A1, B1, e1 = blk
         for (a, b), (v, lo, hi) in sub.items():
-            sh, key = e1 - 2 * B1 * a, (A1 + a, B1 + b)
-            if not _add_aligned(total, key, v, lo + sh, hi + sh, g, bits):
-                raise _OffStride(lo + sh - total[key][1])
+            sh = e1 - 2 * B1 * a
+            _add_aligned(total, (A1 + a, B1 + b), v, lo + sh, hi + sh, g, bits)
         return total
 
     while True:
@@ -378,10 +376,8 @@ def _expand(r: int, n: int, count: int, g: int) -> TorusElement:
             g = math.gcd(g, off.args[0])
     # the scan ends on X1^-1; multiplying by q X1 on the left adds 1 to the
     # X1-degree and 2 to every doubled exponent
-    return TorusElement._raw({
-        (a + 1, b): QLaurent._raw(_unpack(v, lo + 2, (hi - lo) // g + 1, width, g))
-        for (a, b), (v, lo, hi) in root.items()
-    })
+    return TorusElement._raw({(a + 1, b): QLaurent._raw(_decode(entry, width, g, 2))
+                              for (a, b), entry in root.items()})
 
 
 def xvar_enum(r: int, n: int, budget: int | None = DEFAULT_FAMILY_BUDGET) -> TorusElement:

@@ -15,21 +15,24 @@ follow by Gaussian binomials, and the image-dimension histograms on the
 first vertex are solved from those counts by a unitriangular system.
 
 Subspaces are enumerated by reduced-echelon pivot patterns and never
-materialized into lists; over F_2 vectors are packed into integers.
+materialized into lists; a vector over F_p is the integer sum_j v_j p^j.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
+from operator import mul
 
 from .errors import BudgetExceeded, ConstructionFailed, InvalidParameter
 from .qlaurent import c_sequence, q_binomial
 
 ALLOWED_PRIMES = (2, 3, 5)
 DEFAULT_SUBSPACE_CAP = 2_000_000
+SEARCH_ATTEMPTS = 1000  # random candidates tried per module before giving up
 
 
 @dataclass(frozen=True)
@@ -81,13 +84,12 @@ def _rank_gf2(rows) -> int:
     return rank
 
 
-def _rank_modp(rows, p: int) -> int:
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+def _rank_modp(rows, p: int, width: int) -> int:
+    """Rank over F_p of rows given as integers sum_j v_j p^j, j < width
+    (Gauss-Jordan on their digits)."""
+    mat = [_digits(v, p, width) for v in rows]
     rank = 0
-    for col in range(ncols):
+    for col in range(width):
         piv = None
         for i in range(rank, len(mat)):
             if mat[i][col] % p:
@@ -108,6 +110,21 @@ def _rank_modp(rows, p: int) -> int:
     return rank
 
 
+def _digits(v: int, p: int, width: int) -> list:
+    """The digits v_0, ..., v_{width-1} of v = sum_j v_j p^j."""
+    out = []
+    for _ in range(width):
+        v, d = divmod(v, p)
+        out.append(d)
+    return out
+
+
+def _encode(vectors, p: int) -> list:
+    """Each vector of digits v_j in [0, p) as the integer sum_j v_j p^j."""
+    powers = [p**j for j in range(len(vectors[0]))]
+    return [sum(map(mul, v, powers)) for v in vectors]
+
+
 # -- subspace enumeration ------------------------------------------------------
 
 
@@ -117,50 +134,20 @@ def _num_subspaces(p: int, dim: int, k: int) -> int:
     return int(q_binomial(dim, k).evaluate(p))
 
 
-def _iter_bases_gf2(dim: int, k: int):
-    """Reduced-echelon bases of k-subspaces of F_2^dim, rows as bitmasks."""
-    if k == 0:
-        yield ()
-        return
+def _iter_bases(p: int, dim: int, k: int):
+    """Reduced-echelon bases of k-subspaces of F_p^dim, each row as the
+    integer sum_j v_j p^j (a bitmask over F_2).  For each pivot pattern the
+    rows vary independently: row i is p^(pivot i) plus any combination of
+    the non-pivot columns after it."""
     for pivots in combinations(range(dim), k):
-        pivset = set(pivots)
-        free = [
-            (i, j)
-            for i, pi in enumerate(pivots)
-            for j in range(pi + 1, dim)
-            if j not in pivset
-        ]
-        base = [1 << pi for pi in pivots]
-        for assign in range(1 << len(free)):
-            rows = base.copy()
-            aa = assign
-            for (i, j) in free:
-                if aa & 1:
-                    rows[i] |= 1 << j
-                aa >>= 1
-            yield tuple(rows)
-
-
-def _iter_bases_gfp(p: int, dim: int, k: int):
-    """Reduced-echelon bases of k-subspaces of F_p^dim, rows as tuples."""
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(dim), k):
-        pivset = set(pivots)
-        free = [
-            (i, j)
-            for i, pi in enumerate(pivots)
-            for j in range(pi + 1, dim)
-            if j not in pivset
-        ]
-        for assign in product(range(p), repeat=len(free)):
-            rows = [[0] * dim for _ in range(k)]
-            for i, pi in enumerate(pivots):
-                rows[i][pi] = 1
-            for (i, j), val in zip(free, assign):
-                rows[i][j] = val
-            yield tuple(tuple(row) for row in rows)
+        choices = []
+        for pi in pivots:
+            row = [p**pi]
+            for j in range(pi + 1, dim):
+                if j not in pivots:
+                    row = [v + a * p**j for a in range(p) for v in row]
+            choices.append(row)
+        yield from product(*choices)
 
 
 # -- module construction -------------------------------------------------------
@@ -194,10 +181,10 @@ def end_dim(mod: FFModule) -> int:
                 for l in range(d1):
                     row[l * d1 + j] = (-phi[i][l]) % p
                 rows.append(row)
-    return nvars - _rank_modp(rows, p)
+    return nvars - _rank_modp(_encode(rows, p), p, nvars)
 
 
-def build_module(p: int, r: int, n: int, seed: int = 0, attempts: int = 1000) -> FFModule:
+def build_module(p: int, r: int, n: int, seed: int = 0) -> FFModule:
     """A certified rigid module with dimension vector (c_{n-1}, c_{n-2}).
 
     Small cases use explicit matrices (coordinate functionals for n = 4,
@@ -241,7 +228,7 @@ def build_module(p: int, r: int, n: int, seed: int = 0, attempts: int = 1000) ->
         return mod
 
     rng = random.Random(f"qkron-ff-{p}-{r}-{n}-{seed}")
-    for _ in range(attempts):
+    for _ in range(SEARCH_ATTEMPTS):
         phis = tuple(
             tuple(
                 tuple(rng.randrange(p) for _ in range(d1)) for _ in range(d2)
@@ -252,7 +239,7 @@ def build_module(p: int, r: int, n: int, seed: int = 0, attempts: int = 1000) ->
         if mod is not None:
             return mod
     raise ConstructionFailed(
-        f"no certified module for (p={p}, r={r}, n={n}) in {attempts} attempts"
+        f"no certified module for (p={p}, r={r}, n={n}) in {SEARCH_ATTEMPTS} attempts"
     )
 
 
@@ -274,33 +261,33 @@ def _preimage_dim_hist(mod: FFModule, u: int):
     U is enumerated through its annihilator W in Gr_{d2-u}(F_p^{d2}), and
     the preimage has dimension d1 - rank{w . phi_k : w in a basis of W}.
     """
-    hist: dict = {}
     d1, d2, p = mod.d1, mod.d2, mod.p
-    # 0 < u < d2 enumerates at least 2^d2 - 1 subspaces, which bounds the
-    # tables by the cap; u = 0 and u = d2 have one subspace each.
-    if p == 2 and 0 < u < d2:
-        # tables[k][mask]: sum of the rows of phi_k selected by mask, as bits
-        tables = []
-        for phi in mod.phis:
-            rows = [sum(1 << j for j in range(d1) if phi[i][j]) for i in range(d2)]
-            tbl = [0] * (1 << d2)
-            for mask in range(1, 1 << d2):
-                low = mask & (-mask)
-                tbl[mask] = tbl[mask ^ low] ^ rows[low.bit_length() - 1]
-            tables.append(tbl)
-        for basis in _iter_bases_gf2(d2, d2 - u):
-            dim = d1 - _rank_gf2([tbl[w] for w in basis for tbl in tables])
-            hist[dim] = hist.get(dim, 0) + 1
-        return hist
-    for basis in _iter_bases_gfp(p, d2, d2 - u):
-        rows = [
-            tuple(sum(w[i] * phi[i][j] for i in range(d2)) % p for j in range(d1))
-            for w in basis
-            for phi in mod.phis
-        ]
-        dim = d1 - _rank_modp(rows, p)
-        hist[dim] = hist.get(dim, 0) + 1
-    return hist
+    if u == d2:  # W = 0
+        return {d1: 1}
+    rank = _rank_gf2 if p == 2 else partial(_rank_modp, p=p, width=d1)
+    if u == 0:  # W = F_p^{d2}: every row of every phi_k
+        return {d1 - rank(_encode([[x % p for x in row] for phi in mod.phis for row in phi], p)): 1}
+    # 0 < u < d2: at least p^(d2-1) subspaces, which bounds the tables by p * cap
+    tables = [_row_table(phi, p) for phi in mod.phis]
+    return dict(Counter(d1 - rank([tbl[w] for w in basis for tbl in tables])
+                        for basis in _iter_bases(p, d2, d2 - u)))
+
+
+def _row_table(phi, p: int) -> list:
+    """tbl[w] = w . phi for every w in F_p^{d2}, w and the product encoded
+    as integers.  Row by row: with rows 0..i-1 done, the next block is the
+    previous block plus row i, p - 1 times over, each sum encoded as it is
+    made, so the table holds integers only."""
+    d1 = len(phi[0])
+    powers = [p**j for j in range(d1)]
+    tbl = [0]
+    for row in phi:
+        blk = tbl
+        for _ in range(p - 1):
+            blk = [sum((x + y) % p * c for x, y, c in zip(_digits(v, p, d1), row, powers))
+                   for v in blk]
+            tbl = tbl + blk
+    return tbl
 
 
 @lru_cache(maxsize=1024)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     InvalidParameter,
@@ -99,19 +100,25 @@ def _unpack(val, lo: int, length: int, width: int, step: int = 1) -> dict:
     return {lo + step * i: c - half for i, c in enumerate(digits) if c != half}
 
 
-def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) -> bool:
+class _OffStride(AssertionError):
+    """A packed sum landed off its stride; args[0] is the gap.  A caller that
+    guessed the stride reruns at gcd(stride, gap); where the stride is
+    proven, the exception fails as the assertion it is."""
+
+
+def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) -> None:
     """acc[key] += val for entries [packed value, lo, hi] on the digits lo,
     lo + step, ..., hi at base 2^bits, shifted into place by whole digits.
     A sum of 0 drops the key; cancelled low digits are stripped so lo stays
-    the true minimum.  Returns False, changing nothing, when lo is off the
-    entry's lattice: the caller must redo its work at a finer stride."""
+    the true minimum.  Raises ``_OffStride``, changing nothing, when lo is
+    off the entry's lattice."""
     cur = acc.get(key)
     if cur is None:
         acc[key] = [val, lo, hi]
-        return True
+        return
     gap = lo - cur[1]
     if gap % step:
-        return False
+        raise _OffStride(gap)
     if gap < 0:
         cur[0] = (cur[0] << (-gap // step * bits)) + val
         cur[1] = lo
@@ -124,7 +131,13 @@ def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) ->
     elif gap == 0 and (zeros := ((s & -s).bit_length() - 1) // bits):
         cur[0] = s >> (zeros * bits)  # the lowest digits cancelled
         cur[1] += zeros * step
-    return True
+
+
+def _decode(entry, width: int, g: int, shift: int = 0) -> dict:
+    """The coefficient of a packed entry [value, lo, hi] at stride g, with
+    every exponent moved by shift."""
+    val, lo, hi = entry
+    return _unpack(val, lo + shift, (hi - lo) // g + 1, width, g)
 
 
 # -- the normal-form product ---------------------------------------------------
@@ -143,9 +156,10 @@ def _twisted(t1: dict, t2: dict):
             for (a1, b1), v1 in t1.items() for (a2, b2), v2 in t2.items())
 
 
-def _mul_dicts(t1: dict, t2: dict, acc: dict) -> dict:
-    """acc += t1 * t2 pair by pair: one shifted, scaled copy of the longer
+def _mul_dicts(t1: dict, t2: dict) -> dict:
+    """t1 * t2 pair by pair: one shifted, scaled copy of the longer
     coefficient per term of the shorter.  Keys that cancel are dropped."""
+    acc: dict = {}
     for key, sh, c1, c2 in _twisted(t1, t2):
         tgt = acc.setdefault(key, {})
         if len(c1) > len(c2):
@@ -157,15 +171,11 @@ def _mul_dicts(t1: dict, t2: dict, acc: dict) -> dict:
     return acc
 
 
-def _mul_packed_pairs(acc: dict, p1: dict, p2: dict, g: int, bits: int) -> int:
+def _mul_packed_pairs(acc: dict, p1: dict, p2: dict, g: int, bits: int) -> None:
     """acc += p1 * p2 on packed entries [value, lo, hi] at stride g (see
-    ``_add_aligned``).  Returns 0, or the gap of the first sum that lands off
-    the stride, at which point acc is partly updated."""
+    ``_add_aligned``); a sum off the stride leaves acc partly updated."""
     for key, sh, (v1, lo1, hi1), (v2, lo2, hi2) in _twisted(p1, p2):
-        lo = lo1 + lo2 + sh
-        if not _add_aligned(acc, key, v1 * v2, lo, hi1 + hi2 + sh, g, bits):
-            return lo - acc[key][1]
-    return 0
+        _add_aligned(acc, key, v1 * v2, lo1 + lo2 + sh, hi1 + hi2 + sh, g, bits)
 
 
 def _max_coeff(t: dict) -> int:
@@ -185,9 +195,8 @@ def _packed(t: dict, width: int, g: int) -> list:
     return [_pack(t, lo, (hi - lo) // g + 1, width, g), lo, hi]
 
 
-def _mul_terms(t1: dict, t2: dict, acc: dict | None = None) -> dict:
-    """acc + t1 * t2 for term maps under the normal-form product; acc (a new
-    map by default) is updated in place and returned.
+def _mul_terms(t1: dict, t2: dict) -> dict:
+    """t1 * t2 for term maps under the normal-form product.
 
     The pair loop on dicts runs for small work, for operands averaging under
     3 terms per coefficient, and for spans so sparse that the packed digits
@@ -197,14 +206,14 @@ def _mul_terms(t1: dict, t2: dict, acc: dict | None = None) -> dict:
     digits are decoded once per output key, not once per pair.  g divides
     every exponent offset inside a coefficient and every gap between the
     bases of pairs that land on one key, so q^r coefficients take r times
-    fewer digits and no sum lands off the stride; no digit of a sum can
-    reach half the base, so the balanced decode is exact.
+    fewer digits and no sum lands off the stride (an ``_OffStride`` here
+    fails as an assertion); no digit of a sum can reach half the base, so
+    the balanced decode is exact.
     """
-    acc = {} if acc is None else acc
     n1 = sum(map(len, t1.values()))
     n2 = sum(map(len, t2.values())) if n1 >= 3 * len(t1) else 0
     if n2 < 3 * len(t2) or n1 * n2 <= _SCHOOLBOOK_LIMIT:
-        return _mul_dicts(t1, t2, acc)
+        return _mul_dicts(t1, t2)
     g, first = _offset_gcd(t1, t2), {}
     lows = [{key: min(d) for key, d in t.items()} for t in (t1, t2)]
     for key, sh, lo1, lo2 in _twisted(*lows):
@@ -213,21 +222,13 @@ def _mul_terms(t1: dict, t2: dict, acc: dict | None = None) -> dict:
     g = g or 1
     digits = [sum((max(d) - min(d)) // g + 1 for d in t.values()) for t in (t1, t2)]
     if digits[0] * digits[1] > 64 * n1 * n2:
-        return _mul_dicts(t1, t2, acc)
+        return _mul_dicts(t1, t2)
     nnz = min(max(map(len, t.values())) for t in (t1, t2))
     width = _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * min(len(t1), len(t2)))
     prod: dict = {}
     p1, p2 = ({key: _packed(d, width, g) for key, d in t.items()} for t in (t1, t2))
-    if _mul_packed_pairs(prod, p1, p2, g, 8 * width):
-        raise AssertionError("packed product landed off its stride")
-    for key, (val, lo, hi) in prod.items():
-        d = _unpack(val, lo, (hi - lo) // g + 1, width, g)
-        tgt = acc.get(key)
-        if tgt is None:
-            acc[key] = d
-        elif not _shift_add(tgt, d):
-            del acc[key]
-    return acc
+    _mul_packed_pairs(prod, p1, p2, g, 8 * width)
+    return {key: _decode(entry, width, g) for key, entry in prod.items()}
 
 
 def _power(x, e: int, out):
@@ -518,9 +519,16 @@ def c_sequence(r: int, n: int) -> int:
     return b
 
 
-_QBINOM_CACHE: dict[tuple[int, int], QLaurent] = {}
+# A cold q_binomial(m, n) first fills the row of the Pascal table at the
+# multiple of _PASCAL_ROWS below m, so its recursion stops there: the stack
+# holds about m / _PASCAL_ROWS + _PASCAL_ROWS calls, not m.
+_PASCAL_ROWS = 128
 
 
+# Above the Pascal tables in use (1,710 entries, trivial ones included, for
+# the strata at every e2 of (4, 6), 6,901 for [115 choose k], k <= 115), so
+# no entry is recomputed within one call.
+@lru_cache(maxsize=8192, typed=True)
 def q_binomial(m: int, n: int) -> QLaurent:
     """Gaussian binomial coefficient as a polynomial in q.
 
@@ -538,14 +546,11 @@ def q_binomial(m: int, n: int) -> QLaurent:
         raise NotSupported(f"q_binomial({m}, {n}) with m < 0 and n > 0")
     if n > m:
         return ZERO
-    key = (m, n)
-    got = _QBINOM_CACHE.get(key)
-    if got is not None:
-        return got
+    base = (m - 1) // _PASCAL_ROWS * _PASCAL_ROWS
+    for j in range(max(1, n - (m - base)), min(n, base) + 1):
+        q_binomial(base, j)
     # q-Pascal: binom(m, n) = binom(m-1, n-1) + q^n * binom(m-1, n)
-    out = q_binomial(m - 1, n - 1) + q_binomial(m - 1, n).shift2(2 * n)
-    _QBINOM_CACHE[key] = out
-    return out
+    return q_binomial(m - 1, n - 1) + q_binomial(m - 1, n).shift2(2 * n)
 
 
 def q_int(n: int) -> QLaurent:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 
 from .errors import DivisionFailed, InvalidParameter
-from .qlaurent import (ONE, QLaurent, _digit_width, _max_coeff, _mul_packed_pairs, _mul_terms,
-                       _offset_gcd, _packed, _power, _unpack)
+from .qlaurent import (ONE, QLaurent, _decode, _digit_width, _max_coeff, _mul_packed_pairs,
+                       _mul_terms, _offset_gcd, _OffStride, _packed, _power)
 
 
 class TorusElement:
@@ -268,12 +268,13 @@ def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
         val, lo, hi = rem.pop((an, bn))
         sh = 2 * bd * az - kd2
         lo, hi = lo + sh, hi + sh
-        cz = _unpack(val if sign > 0 else -val, lo, (hi - lo) // g + 1, width, g)
+        cz = _decode((val if sign > 0 else -val, lo, hi), width, g)
         top = max(map(abs, cz.values()))
         if top > bound:
             return None, max(2 * bound, top), g
         quot[(az, bz)] = QLaurent._raw(cz)
-        gap = _mul_packed_pairs(rem, terms, {(az, bz): (val, lo, hi)}, g, 8 * width)
-        if gap:
-            return None, bound, math.gcd(g, gap)
+        try:
+            _mul_packed_pairs(rem, terms, {(az, bz): (val, lo, hi)}, g, 8 * width)
+        except _OffStride as off:
+            return None, bound, math.gcd(g, off.args[0])
     raise DivisionFailed("division did not terminate within the support box")

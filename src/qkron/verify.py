@@ -106,9 +106,10 @@ def suite_alternating():
     ]
 
 
-def suite_matrix(size: int = 30):
+def suite_matrix():
     # Principal submatrices of the size-30 pair are exactly the smaller
     # sizes, so the single product covers every size up to 30.
+    size = 30
     inv = strata.transform_matrix(size)
     fwd = strata.q_binomial_matrix(size)
     ok = True
@@ -161,8 +162,8 @@ def _random_unit_leading(rng):
         return TorusElement(terms.items())
 
 
-def suite_torus(cases: int = 200, seed: int = 20240):
-    rng = random.Random(seed)
+def suite_torus():
+    cases, rng = 200, random.Random(20240)
     ok_assoc = True
     for _ in range(cases):
         e1, e2, e3 = (_random_torus(rng) for _ in range(3))

@@ -91,6 +91,15 @@ def test_chain_extends_the_cache(monkeypatch):
     assert xvar_recursive(3, 6) is x6 and len(calls) == 3
 
 
+def test_chain_deeper_than_the_recursion_limit_is_refused():
+    refs = {r: xvar_recursive(r, 5) for r in (2, 3)}
+    # the cold descent to X_1 hits Python's limit before any division runs
+    with pytest.raises(BudgetExceeded):
+        xvar_recursive(2, 3000)
+    for r, x5 in refs.items():
+        assert xvar_recursive(r, 5) is x5
+
+
 def test_dim_vector():
     assert dim_vector(2, 4) == (2, 1)
     assert dim_vector(10, 6) == (980, 99)

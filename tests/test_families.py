@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import pytest
@@ -18,7 +19,7 @@ from qkron.families import (
     path_elements,
     xvar_enum,
 )
-from qkron.qlaurent import QLaurent, _add_aligned, c_sequence
+from qkron.qlaurent import QLaurent, _add_aligned, _OffStride, c_sequence
 from qkron.torus import TorusElement
 
 
@@ -142,20 +143,38 @@ def test_budget_is_checked_outside_the_cache():
 def test_off_stride_sum_reruns_the_scan(monkeypatch, r, n, g):
     # a start stride that the scan sums do not respect must restart the scan
     # at a finer one and still give the literal family sum
-    results = []
+    raised = []
 
     def spy(*args):
-        results.append(_add_aligned(*args))
-        return results[-1]
+        try:
+            return _add_aligned(*args)
+        except _OffStride as off:
+            raised.append(off)
+            raise
 
     monkeypatch.setattr(families, "_add_aligned", spy)
     got = families._expand.__wrapped__(r, n, count_families(r, n), g)  # uncached
-    assert False in results
+    assert raised
     total = TorusElement.zero()
     path = build_dyck(r, n)
     for fam in enumerate_families(path):
         total = total + family_term(path, fam)
     assert got == total
+
+
+@pytest.mark.parametrize("r, n", [
+    (33, 5),
+    pytest.param(6, 7, marks=[pytest.mark.slow, pytest.mark.skipif(
+        os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable")]),
+])
+def test_scan_deeper_than_the_recursion_limit_is_refused(r, n):
+    # the scan recurses once per edge: 1,088 edges at (33, 5), 1,189 at
+    # (6, 7), whose tables alone take about 10 s to build
+    assert build_dyck(r, n).n_edges > 1000
+    with pytest.raises(BudgetExceeded):
+        count_families(r, n)
+    assert (count_families(2, 5), count_families(3, 5)) == (13, 365)
+    assert xvar_enum(3, 5) == xvar_recursive(3, 5).scale2(1)
 
 
 def test_scan_memo_stays_small():

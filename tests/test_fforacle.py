@@ -4,8 +4,9 @@ from qkron.cluster import gr_table
 from qkron.errors import BudgetExceeded, InvalidParameter
 from qkron.fforacle import (
     FFModule,
+    _digits,
     _image_dim_hist,
-    _iter_bases_gfp,
+    _iter_bases,
     _preimage_dim_hist,
     _rank_modp,
     build_module,
@@ -144,13 +145,13 @@ def test_image_strata_match_brute_force():
             continue
         for s in range(mod.d1 + 1):
             hist = {}
-            for basis in _iter_bases_gfp(p, mod.d1, s):
+            for basis in _iter_bases(p, mod.d1, s):
                 image = [
-                    tuple(sum(phi[i][j] * b[j] for j in range(mod.d1)) % p for i in range(mod.d2))
-                    for b in basis
+                    sum(sum(phi[i][j] * b[j] for j in range(mod.d1)) % p * p**i for i in range(mod.d2))
+                    for b in (_digits(w, p, mod.d1) for w in basis)
                     for phi in mod.phis
                 ]
-                dim = _rank_modp(image, p)
+                dim = _rank_modp(image, p, mod.d2)
                 hist[dim] = hist.get(dim, 0) + 1
             for pp in range(mod.d2 + 1):
                 assert count_strata(mod, "z", pp, s) == hist.get(mod.d2 - pp, 0), (r, n, p, pp, s)

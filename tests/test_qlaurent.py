@@ -74,6 +74,19 @@ def test_q_binomial_matches_product_formula():
             assert _coeff_list(q_binomial(m, n)) == want
 
 
+def test_cold_q_binomial_is_not_limited_by_the_stack():
+    # a cold call fills the Pascal rows below it in steps, so the recursion
+    # depth does not grow with m
+    q_binomial.cache_clear()
+    assert q_binomial(600, 599) == q_binomial(600, 1) == q_int(600)
+    q_binomial.cache_clear()
+    for m in (127, 128, 129, 257, 300):
+        want = _qbinom_oracle(m, 2)
+        while want[-1] == 0:
+            want.pop()
+        assert _coeff_list(q_binomial(m, 2)) == want
+
+
 def test_q_binomial_pinned_example():
     # [4 choose 2]_q = q^4 + q^3 + 2q^2 + q + 1, expanded by the oracle
     assert q_binomial(4, 2) == QLaurent({0: 1, 2: 1, 4: 2, 6: 1, 8: 1})
@@ -252,7 +265,10 @@ def test_packed_mul_refuses_an_off_stride_sum(monkeypatch):
     import qkron.qlaurent as qlmod
 
     a = QLaurent({2 * i: i + 1 for i in range(20)})
-    pairs = qlmod._mul_packed_pairs
-    monkeypatch.setattr(qlmod, "_mul_packed_pairs", lambda *args: pairs(*args) or 2)
-    with pytest.raises(AssertionError, match="off its stride"):
+
+    def off_stride(*args):
+        raise qlmod._OffStride(2)
+
+    monkeypatch.setattr(qlmod, "_add_aligned", off_stride)
+    with pytest.raises(AssertionError):
         a * a

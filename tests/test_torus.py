@@ -186,18 +186,16 @@ def test_product_kernel_accumulates_in_place():
     from qkron.qlaurent import _mul_terms
     from qkron.torus import _terms
 
-    # the dense pair takes the packed loop, the one-term block the dict loop;
-    # acc holds minus the product at (1, 1) and something else at (9, 9)
+    # the dense pair takes the packed loop, and its two sums at X1 X2 cancel
+    # and drop their key; the one-term pair takes the dict loop
     c = QLaurent({4 * i: i + 1 for i in range(5)})
-    for a, b in (({(0, 1): c, (1, 0): c}, {(1, 0): c, (0, 1): c}), ({(1, 0): ONE}, {(0, 1): c})):
-        a, b = TorusElement(a), TorusElement(b)
-        want = a * b
-        acc = {(1, 1): (-want.coeff(1, 1))._t, (9, 9): {0: 1}}
-        got = _mul_terms(_terms(a._t), _terms(b._t), acc)
-        assert got is acc
-        assert TorusElement(((k, QLaurent(d)) for k, d in acc.items())) == (
-            want - TorusElement.monomial(1, 1, want.coeff(1, 1)) + TorusElement.monomial(9, 9))
-        assert (1, 1) not in acc
+    dense = (TorusElement({(0, 1): c, (1, 0): c}), TorusElement({(1, 0): c, (0, 1): -c.shift2(-2)}))
+    one_term = (TorusElement.monomial(1, 0), TorusElement.monomial(0, 1, c))
+    for a, b in (dense, one_term):
+        got = _mul_terms(_terms(a._t), _terms(b._t))
+        assert TorusElement(((k, QLaurent(d)) for k, d in got.items())) == _bilinear(a, b)
+        assert all(got.values())
+    assert (1, 1) not in _mul_terms(*map(_terms, (dense[0]._t, dense[1]._t)))
 
 
 def _spy_pack(monkeypatch, check):
