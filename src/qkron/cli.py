@@ -79,16 +79,16 @@ def _strata(args):
         raise InvalidParameter("--closed requires --n 6 and --e2 1")
     else:
         table = strata.closed_strata_m6(r)
-    ps = sorted(table.zprime) if args.p is None else [args.p]
+    if args.p is not None:  # the table is a fresh value: keep only the asked stratum
+        if not 0 <= args.p <= table.d1:
+            raise InvalidParameter(f"p must lie in 0..{table.d1}, got {args.p}")
+        table.zprime = {args.p: table.zp(args.p)}
+        table.zbarprime = {args.p: table.zbar(args.p)}
     lines = [f"e2 = {table.e2}, d1 = {table.d1}, d2 = {table.d2}"]
-    for p in ps:
+    for p in sorted(table.zprime):
         lines.append(f"Z'({p})    = {table.zp(p).format_descending()}")
         lines.append(f"Zbar'({p}) = {table.zbar(p).format_descending()}")
-    obj = table.to_obj()
-    if args.p is not None:
-        for key in ("zprime", "zbarprime"):
-            obj[key] = [e for e in obj[key] if e["p"] == args.p]
-    return "\n".join(lines), obj
+    return "\n".join(lines), table.to_obj()
 
 
 def _example13(args):

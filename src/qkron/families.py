@@ -282,19 +282,18 @@ class _DpTables:
         self.full = (1 << self.maxL) - 1
         # Which recent-coverage bits a state can still be asked about, and
         # whether any blue/green subpath starts at the position: anything
-        # else is irrelevant to the suffix sum and is normalized away.
+        # else is irrelevant to the suffix sum and is normalized away.  The
+        # windows of the greens starting at pos or later all reach pos - 1, so
+        # the bits are one run, from a suffix minimum of the window starts.
+        first = [self.N + 2] * (self.N + 3)
+        for g_lo, L in greens:
+            first[g_lo] = min(first[g_lo], g_lo - L)
         self.relevant = [0] * (self.N + 2)
         self.flag_rel = [False] * (self.N + 2)
-        for pos in range(1, self.N + 2):
-            bits = 0
-            for g_lo, L in greens:
-                if g_lo < pos:
-                    continue
-                elo = max(1, g_lo - L, pos - self.maxL)
-                ehi = min(g_lo - 1, pos - 1)
-                for e in range(elo, ehi + 1):
-                    bits |= 1 << (pos - 1 - e)
-            self.relevant[pos] = bits
+        for pos in range(self.N + 1, 0, -1):
+            first[pos] = min(first[pos], first[pos + 1])
+            lo = max(1, pos - self.maxL, first[pos])
+            self.relevant[pos] = (1 << max(pos - lo, 0)) - 1
             self.flag_rel[pos] = any(
                 el.subpath and el.bluegreen for el in by_lo.get(pos, ())
             )

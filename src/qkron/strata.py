@@ -8,7 +8,9 @@ preimage-dimension strata inside the ordinary Grassmannian Gr_{e2}(M_2):
     closed stratum Zbar'(p) = sum_{e1>=p} (-1)^(e1-p) q^C(e1-p+1,2) [e1-1 choose e1-p]_q P_{e1,e2}
 
 and conversely P_{e1,e2} = sum_p [p choose e1]_q Z'(p).  The closed-stratum
-weights use the convention [−1 choose 0]_q = 1 at the (0, 0) corner.
+weights use the convention [−1 choose 0]_q = 1 at the (0, 0) corner.  The
+stratum tables come from one q-Pascal sweep per column, with no polynomial
+product; ``transform_matrix`` and ``closed_zbar_m6`` keep the signed weights.
 
 For the module with dimension vector (r^3-2r, r^2-1) and e2 = 1 both sides
 have closed forms valid for every r; ``closed_zbar_m6`` produces, among
@@ -77,45 +79,47 @@ class StrataTable:
         return self.zbarprime.get(p, QLaurent.zero())
 
     def to_obj(self):
+        def rows(strata):
+            return [{"p": p, "poly": strata[p].to_obj()} for p in sorted(strata)]
+
         return {
             "e2": self.e2,
             "d1": self.d1,
             "d2": self.d2,
-            "zprime": [
-                {"p": p, "poly": self.zprime[p].to_obj()} for p in sorted(self.zprime)
-            ],
-            "zbarprime": [
-                {"p": p, "poly": self.zbarprime[p].to_obj()}
-                for p in sorted(self.zbarprime)
-            ],
+            "zprime": rows(self.zprime),
+            "zbarprime": rows(self.zbarprime),
         }
+
+
+def _pascal_sweep(col) -> list:
+    """Tail sums Zbar(k) = sum_{p>=k} Z(p) of the Z with col[e] = sum_p [p choose e]_q Z(p).
+
+    f[e] runs in place through F(e, k) = sum_p [p choose e]_q Z(p+k), zero past the last
+    index, by q-Pascal: F(e-1, k+1) = F(e, k) - q^e F(e, k+1); Zbar(k) = F(0, k)."""
+    f = list(col)
+    tails = []
+    while f:
+        tails.append(f[0])
+        f = f[1:]
+        for i in range(len(f) - 2, -1, -1):
+            f[i] = f[i] - f[i + 1].shift2(2 * i + 2)
+    return tails
+
+
+def _strata(col, d1: int):
+    """(Z', Zbar') as p -> QLaurent for p = 0..d1, zero past the column's end."""
+    zbar = _pascal_sweep(col)
+    zbar += [QLaurent.zero()] * (d1 + 2 - len(zbar))
+    zprime = {p: zbar[p] - zbar[p + 1] for p in range(d1 + 1)}
+    return zprime, dict(enumerate(zbar[: d1 + 1]))
 
 
 def strata_from_gr(table: GrTable, e2: int) -> StrataTable:
     """Invert the Grassmannian column at e2 into stratum polynomials."""
     if not 0 <= e2 <= table.d2:
         raise InvalidParameter(f"e2 must lie in 0..{table.d2}, got {e2}")
-    col = {e1: table.entry(e1, e2) for e1 in range(table.d1 + 1)}
-    zprime = {}
-    zbarprime = {}
-    for p in range(table.d1 + 1):
-        zp = QLaurent.zero()
-        zb = QLaurent.zero()
-        for e1 in range(p, table.d1 + 1):
-            poly = col[e1]
-            if not poly:
-                continue
-            zp = zp + poly * _open_weight(e1, p)
-            zb = zb + poly * _closed_weight(e1, p)
-        zprime[p] = zp
-        zbarprime[p] = zb
-    # The closed strata must be the tails of the open ones.
-    tail = QLaurent.zero()
-    for p in range(table.d1, -1, -1):
-        tail = tail + zprime[p]
-        if tail != zbarprime[p]:
-            raise AssertionError(f"closed stratum at p={p} is not the tail sum")
-    return StrataTable(e2, table.d1, table.d2, zprime, zbarprime)
+    column = [table.entry(e1, e2) for e1 in range(table.d1 + 1)]
+    return StrataTable(e2, table.d1, table.d2, *_strata(column, table.d1))
 
 
 def gr_from_strata(strata: StrataTable, e1: int) -> QLaurent:
@@ -159,21 +163,17 @@ def closed_zbar_m6(r: int, p: int) -> QLaurent:
     total = QLaurent.zero()
     # e1 runs up to d1 = r^3 - 2r, but closed_gr_m6 vanishes past r - 1 <= d1
     for e1 in range(p, r):
-        poly = closed_gr_m6(r, e1)
-        if not poly:
-            continue
-        total = total + poly * _closed_weight(e1, p)
+        total = total + closed_gr_m6(r, e1) * _closed_weight(e1, p)
     return total
 
 
 def closed_strata_m6(r: int) -> StrataTable:
-    """Stratum table at e2 = 1 for the same module from the closed forms:
-    Zbar'(p) by ``closed_zbar_m6`` and Z'(p) = Zbar'(p) - Zbar'(p+1)."""
+    """Stratum table at e2 = 1 for the same module, swept from the closed
+    column ``closed_gr_m6``, which vanishes past e1 = r - 1."""
     _check_r(r)
     d1 = r**3 - 2 * r
-    zbar = {p: closed_zbar_m6(r, p) for p in range(d1 + 1)}
-    zp = {p: zbar[p] - zbar.get(p + 1, QLaurent.zero()) for p in zbar}
-    return StrataTable(1, d1, r**2 - 1, zp, zbar)
+    column = [closed_gr_m6(r, e1) for e1 in range(r)]
+    return StrataTable(1, d1, r**2 - 1, *_strata(column, d1))
 
 
 def euler_char(poly: QLaurent) -> int:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +103,23 @@ def test_strata_closed_rejects_r_below_2(capsys):
         code, out, err = run_cli(
             capsys, "strata", "--r", "1", "--n", "6", "--e2", "1", "--closed", "--format", fmt
         )
+        assert code == 2
+        assert err == f"error: InvalidParameter: {message}\n"
+        assert json.loads(out) == {"error": "InvalidParameter", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, d1",
+    [
+        (["--r", "2", "--n", "6", "--e2", "1"], 4),
+        (["--r", "2", "--n", "6", "--e2", "1", "--closed"], 4),
+    ],
+)
+@pytest.mark.parametrize("p", ["99", "-1"])
+def test_strata_rejects_p_out_of_range(capsys, argv, d1, p):
+    message = f"p must lie in 0..{d1}, got {p}"
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "strata", *argv, "--p", p, "--format", fmt)
         assert code == 2
         assert err == f"error: InvalidParameter: {message}\n"
         assert json.loads(out) == {"error": "InvalidParameter", "message": message}
@@ -226,3 +245,15 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "8\n"
+
+
+def test_cli_matches_bench_references(capsys):
+    """Every CLI command the benchmark checks prints the recorded bytes and
+    exits with the recorded code when run in-process."""
+    refs = json.loads((Path(__file__).parents[1] / "bench" / "references.json").read_text())
+    cli_refs = {key: ref for key, ref in refs.items() if isinstance(ref, dict)}
+    assert cli_refs
+    for key, ref in sorted(cli_refs.items()):
+        code, out, _ = run_cli(capsys, *key.split())
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, digest) == (ref["rc"], ref["sha256"]), key

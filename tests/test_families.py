@@ -194,6 +194,27 @@ def test_scan_memo_stays_small():
     assert got == xvar_recursive(6, 5).scale2(1)
 
 
+@pytest.mark.parametrize("r, n", [(3, 6), (4, 6), (5, 6)])
+def test_relevant_masks_match_the_windows(r, n):
+    # bit pos-1-e is relevant at pos when edge e < pos lies in the mask's
+    # reach and in the window of a green subpath starting at pos or later
+    path = build_dyck(r, n)
+    windows = [
+        (el.lo, families._green_window(path, el))
+        for el in path_elements(path)
+        if isinstance(el, Subpath) and el.color.kind == "green"
+    ]
+    width = max(whi - wlo + 1 for _, (wlo, whi) in windows)
+    tb = families._DpTables(path)
+    for pos in range(1, path.n_edges + 2):
+        bits = 0
+        for g_lo, (wlo, whi) in windows:
+            if g_lo >= pos:
+                for e in range(max(wlo, pos - width), min(whi, pos - 1) + 1):
+                    bits |= 1 << (pos - 1 - e)
+        assert tb.relevant[pos] == bits, pos
+
+
 def test_green_needs_companion():
     # every green subpath in a family has a covered admissibility window
     path = build_dyck(3, 5)

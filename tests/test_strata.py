@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qkron.cluster import gr_table
 from qkron.errors import InvalidParameter
 from qkron.qlaurent import ONE, QLaurent, q, q_binomial
 from qkron.strata import (
+    _closed_weight,
+    _open_weight,
+    _strata,
     closed_gr_m6,
     closed_strata_m6,
     closed_zbar_m6,
@@ -140,3 +145,54 @@ def test_alternating_identity_spot():
     # the signed tail sum collapses: at e1=2, p=1 both sides are -q
     lhs = q_binomial(2, 0) - q_binomial(2, 1)
     assert lhs == QLaurent.q_power(2, -1)
+
+
+def _weighted_strata(table, e2):
+    """Z'(p) and Zbar'(p) as the signed weighted sums over e1 >= p, the
+    explicit inverse that the q-Pascal sweep replaces."""
+    col = [table.entry(e1, e2) for e1 in range(table.d1 + 1)]
+    zp, zb = {}, {}
+    for p in range(table.d1 + 1):
+        zp[p] = zb[p] = QLaurent.zero()
+        for e1 in range(p, table.d1 + 1):
+            if col[e1]:
+                zp[p] = zp[p] + col[e1] * _open_weight(e1, p)
+                zb[p] = zb[p] + col[e1] * _closed_weight(e1, p)
+    return zp, zb
+
+
+@pytest.mark.parametrize("r, n, e2s", [(3, 6, None), (5, 5, None), (4, 6, (7,))])
+def test_sweep_matches_weighted_sums(r, n, e2s):
+    table = gr_table(r, n)
+    for e2 in e2s or range(table.d2 + 1):
+        got = strata_from_gr(table, e2)
+        assert (got.zprime, got.zbarprime) == _weighted_strata(table, e2)
+
+
+small_qlaurents = st.builds(
+    QLaurent,
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-5, 5)), max_size=3),
+)
+
+
+@given(st.lists(small_qlaurents, max_size=8), st.integers(0, 3))
+def test_strata_inverts_the_forward_transform(z, pad):
+    d1 = len(z) - 1 + pad
+    col = [
+        sum((q_binomial(p, e) * zp for p, zp in enumerate(z)), QLaurent.zero())
+        for e in range(len(z))
+    ]
+    zprime, zbarprime = _strata(col, d1)
+    full = z + [QLaurent.zero()] * pad
+    assert zprime == dict(enumerate(full))
+    assert zbarprime == {
+        p: sum(full[p:], QLaurent.zero()) for p in range(d1 + 1)
+    }
+
+
+def test_binomial_columns_sweep_to_unit_vectors():
+    size = 12
+    mat = q_binomial_matrix(size)
+    for j in range(size):
+        zprime, _ = _strata([mat[i][j] for i in range(size)], size - 1)
+        assert zprime == {p: ONE if p == j else QLaurent.zero() for p in range(size)}
