@@ -14,7 +14,7 @@ import sys
 
 from . import cluster, families, fforacle, strata, verify
 from .dyck import build_dyck, render_ascii
-from .errors import BudgetExceeded, InvalidParameter, QkronError
+from .errors import InvalidParameter, QkronError
 from .qlaurent import c_sequence
 
 
@@ -43,10 +43,7 @@ def _families(args):
     obj = {"r": r, "n": n, "count": count}
     lines = [f"families: {count}"]
     if args.list:
-        if count > args.budget:
-            raise BudgetExceeded(
-                f"{count} families exceed the configured budget of {args.budget}"
-            )
+        families.check_budget(count, args.budget)
         records = [fam.to_obj() for fam in families.enumerate_families(build_dyck(r, n))]
         obj["families"] = records
         lines += [json.dumps(rec, separators=(",", ":")) for rec in records]

@@ -14,10 +14,10 @@ Summed over all families this reproduces the cluster variable (up to a
 global q^(1/2)), which is the central cross-check of the package.
 
 Enumeration comes in two forms: a literal backtracker that yields each
-family once (``enumerate_families``), and a memoized suffix aggregation
-(``xvar_enum``) that computes the full sum by distributing the edge
-products over a left-to-right scan; the two are compared term-for-term in
-the test-suite on every desk-size instance.
+family once (``enumerate_families``), and a suffix aggregation over the
+states of a left-to-right scan (``xvar_enum``) that computes the full sum by
+distributing the edge products; the two are compared term-for-term in the
+test-suite on every desk-size instance.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .qlaurent import QLaurent, _add_aligned, _decode, _digit_width, _OffStride,
 from .torus import TorusElement, word_to_torus
 
 DEFAULT_FAMILY_BUDGET = 30_000_000
+# The scan is refused, before it computes any value, past this many states.
+MAX_SCAN_STATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -219,10 +221,13 @@ def enumerate_families(path: DyckPath):
 # depends on the scan position, on which of the last few edges are covered
 # (for admissibility windows of greens that start soon), and on whether a
 # subpath ends flush at the previous edge (for the shared-endpoint rule).
-# Memoizing on that state turns the family sum into a small table
-# computation while remaining exactly the same sum.
+# Folding over those states turns the family sum into a small table
+# computation while remaining exactly the same sum.  ``_scan`` lists the
+# reachable states left to right first, then fills their values right to
+# left, so a state's value lives only until the last state that reads it is
+# filled, and no step recurses.
 #
-# A memo value maps each torus key (A, B) to one packed entry [value, lo,
+# A state's value maps each torus key (A, B) to one packed entry [value, lo,
 # hi]: the coefficient's digits on the doubled exponents lo, lo + g, ...,
 # hi, as one big integer (see ``qlaurent._add_aligned``).  Every digit of
 # every partial sum counts suffix completions of a reachable state, and
@@ -253,16 +258,22 @@ class _DpTables:
                 self.default_blk.append((-1, r - 1, -r))
         by_lo: dict = {}
         greens = []
+        # the weights of a subpath's edges depend only on its start lo and on
+        # whether it is red, so each (lo, red) keeps one running sum
+        # [last edge, A, B, S, T], read at each subpath's hi as k grows
+        walks: dict = {}
         for el in path_elements(path):
             if isinstance(el, Subpath):
                 is_red = el.color.kind == "red"
-                A = B = S = T = 0
-                for t in range(el.lo, el.hi + 1):
+                walk = walks.setdefault((el.lo, is_red), [el.lo - 1, 0, 0, 0, 0])
+                t, A, B, S, T = walk
+                for t in range(t + 1, el.hi + 1):
                     a, b = _in_subpath_weight(path, el.lo, is_red, t)
                     T += B * a
                     A += a
                     B += b
                     S += a - b
+                walk[:] = t, A, B, S, T
                 window = 0
                 if el.color.kind == "green":
                     wlo, whi = _green_window(path, el)
@@ -305,45 +316,65 @@ def _dp_tables(path: DyckPath) -> _DpTables:
 
 
 def _scan(path: DyckPath, leaf, new, add):
-    """Fold the suffix sum of every scan state, memoized on the state.
+    """Fold the suffix sum of every reachable scan state, in two passes.
 
     ``leaf`` is the value past the last edge, ``new()`` an empty total, and
     ``add(total, blk, sub)`` returns the total after adding the suffix value
     ``sub`` behind the block ``blk`` (the first edge kept free, or an element
     starting at the position).
+
+    The forward pass lists the reachable states (pos, mask, flag) position by
+    position, with each state's successors and each state's number of
+    readers, and refuses past ``MAX_SCAN_STATES`` states before any value
+    exists.  The backward pass fills the values from the last edge down to
+    the root and drops each value once its last reader has read it.
     """
     tb = _dp_tables(path)
-    memo: dict = {}
+    layers = [[] for _ in range(tb.N + 2)]
+    readers: dict = {}
 
-    def rec(pos, mask, flag):
-        if pos > tb.N:
-            return leaf
-        mask &= tb.relevant[pos]
-        flag = flag and tb.flag_rel[pos]
-        key = (pos, mask, flag)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        free = rec(pos + 1, (mask << 1) & tb.full, False)
-        total = add(new(), tb.default_blk[pos], free)
-        for el in tb.by_lo.get(pos, ()):
-            if el.subpath and el.bluegreen and flag:
-                continue
-            if el.window and not (mask & ((1 << min(el.window, pos - 1)) - 1)):
-                continue
-            span = el.hi - el.lo + 1
-            nmask = ((mask << span) | ((1 << span) - 1)) & tb.full
-            total = add(total, el.blk, rec(el.hi + 1, nmask, el.subpath))
-        memo[key] = total
-        return total
+    def reach(pos, mask, flag):
+        # the normalization leaves past the last edge only (N + 1, 0, False)
+        key = (pos, mask & tb.relevant[pos], flag and tb.flag_rel[pos])
+        if key in readers:
+            readers[key] += 1
+            return key
+        if len(readers) == MAX_SCAN_STATES:
+            raise BudgetExceeded(
+                f"the family scan over {tb.N} edges reaches more than "
+                f"{MAX_SCAN_STATES} states by edge {pos}"
+            )
+        readers[key] = 1
+        layers[pos].append(key)
+        return key
 
-    try:
-        return rec(1, 0, False)
-    except RecursionError:  # rec recurses once per edge
-        raise BudgetExceeded(f"the scan over {tb.N} edges is deeper than Python's "
-                             "recursion limit") from None
-    finally:
-        memo.clear()  # rec refers to itself, so only a full GC would free the memo
+    root = reach(1, 0, False)
+    succs: dict = {}
+    for pos in range(1, tb.N + 1):
+        for key in layers[pos]:
+            _, mask, flag = key
+            out = [(tb.default_blk[pos], reach(pos + 1, (mask << 1) & tb.full, False))]
+            for el in tb.by_lo.get(pos, ()):
+                if el.subpath and el.bluegreen and flag:
+                    continue
+                if el.window and not (mask & ((1 << min(el.window, pos - 1)) - 1)):
+                    continue
+                span = el.hi - el.lo + 1
+                nmask = ((mask << span) | ((1 << span) - 1)) & tb.full
+                out.append((el.blk, reach(el.hi + 1, nmask, el.subpath)))
+            succs[key] = out
+
+    values = {key: leaf for key in layers[tb.N + 1]}
+    for pos in range(tb.N, 0, -1):
+        for key in layers[pos]:
+            total = new()
+            for blk, sub in succs.pop(key):
+                total = add(total, blk, values[sub])
+                readers[sub] -= 1
+                if not readers[sub]:
+                    del values[sub]
+            values[key] = total
+    return values[root]
 
 
 def count_families(r: int, n: int) -> int:
@@ -379,6 +410,16 @@ def _expand(r: int, n: int, count: int, g: int) -> TorusElement:
                               for (a, b), entry in root.items()})
 
 
+def check_budget(count: int, budget: int | None) -> None:
+    """Refuse ``count`` families over ``budget``; None means no budget."""
+    if budget is None:
+        return
+    if budget < 0:
+        raise InvalidParameter(f"a family budget must be >= 0, got {budget}")
+    if count > budget:
+        raise BudgetExceeded(f"{count} families exceed the configured budget of {budget}")
+
+
 def xvar_enum(r: int, n: int, budget: int | None = DEFAULT_FAMILY_BUDGET) -> TorusElement:
     """Cluster variable by family expansion: the sum over all compatible
     families of q * X1 * (ordered product of specialized edge weights) * X1^-1.
@@ -389,8 +430,5 @@ def xvar_enum(r: int, n: int, budget: int | None = DEFAULT_FAMILY_BUDGET) -> Tor
     if not isinstance(n, int) or n < 4:
         raise InvalidParameter(f"family expansion needs n >= 4, got {n}")
     count = count_families(r, n)
-    if budget is not None and count > budget:
-        raise BudgetExceeded(
-            f"{count} families exceed the configured budget of {budget}"
-        )
+    check_budget(count, budget)
     return _expand(r, n, count, 2 * r)

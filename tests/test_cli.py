@@ -56,6 +56,20 @@ def test_families_budget(capsys):
     assert "BudgetExceeded" in err
 
 
+def test_families_negative_budget_is_invalid(capsys):
+    code, out, err = run_cli(
+        capsys, "families", "--r", "2", "--n", "5", "--list", "--budget", "-1"
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == "InvalidParameter"
+
+
+def test_families_past_a_thousand_edges(capsys):
+    # 1,309 edges: a scan that recursed once per edge refused this with exit 10
+    code, out, _ = run_cli(capsys, "families", "--r", "11", "--n", "6")
+    assert code == 0 and len(out) == len("families: ") + 395 + 1
+
+
 def test_xvar_json_and_methods(capsys):
     code, out, _ = run_cli(
         capsys, "xvar", "--r", "2", "--n", "4", "--format", "json"

@@ -1,12 +1,20 @@
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from qkron import families
 from qkron.cluster import xvar_recursive
 from qkron.dyck import build_dyck
-from qkron.errors import BudgetExceeded, IndexOutOfRange
+from qkron.errors import (
+    BudgetExceeded,
+    ExhaustivenessViolation,
+    IndexOutOfRange,
+    InvalidParameter,
+)
 from qkron.families import (
     Family,
     SingleEdge,
@@ -129,6 +137,8 @@ def test_bridge_small():
 def test_budget():
     with pytest.raises(BudgetExceeded):
         xvar_enum(2, 6, budget=3)
+    with pytest.raises(InvalidParameter):
+        xvar_enum(2, 6, budget=-1)
 
 
 def test_budget_is_checked_outside_the_cache():
@@ -162,19 +172,28 @@ def test_off_stride_sum_reruns_the_scan(monkeypatch, r, n, g):
     assert got == total
 
 
-@pytest.mark.parametrize("r, n", [
-    (33, 5),
-    pytest.param(6, 7, marks=[pytest.mark.slow, pytest.mark.skipif(
-        os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable")]),
-])
-def test_scan_deeper_than_the_recursion_limit_is_refused(r, n):
-    # the scan recurses once per edge: 1,088 edges at (33, 5), 1,189 at
-    # (6, 7), whose tables alone take about 10 s to build
+_SLOW = [pytest.mark.slow, pytest.mark.skipif(
+    os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable")]
+
+
+@pytest.mark.parametrize("r, n, digits", [(33, 5, 328), (11, 6, 395)])
+def test_scan_past_a_thousand_edges_counts(r, n, digits):
+    # 1,088 and 1,309 edges: more than Python's recursion limit, which the
+    # self-recursive scan this replaced converted into BudgetExceeded
     assert build_dyck(r, n).n_edges > 1000
+    assert len(str(count_families(r, n))) == digits
+
+
+@pytest.mark.parametrize("r, n", [pytest.param(6, 7, marks=_SLOW)])
+def test_scan_state_cap_refuses_before_any_value(r, n):
+    # the forward pass of (6, 7) passes MAX_SCAN_STATES states about a sixth
+    # of the way along its 1,189 edges, before any value is added
+    added = []
+    with pytest.raises(BudgetExceeded, match="states"):
+        families._scan(build_dyck(r, n), 1, int, lambda *args: added.append(args))
+    assert added == []
     with pytest.raises(BudgetExceeded):
         count_families(r, n)
-    assert (count_families(2, 5), count_families(3, 5)) == (13, 365)
-    assert xvar_enum(3, 5) == xvar_recursive(3, 5).scale2(1)
 
 
 def test_scan_memo_stays_small():
@@ -192,6 +211,84 @@ def test_scan_memo_stays_small():
     # its coefficients reach 26 bits, so a digit width narrower than the one
     # proven by the family count (3.8e10) carries between digits here
     assert got == xvar_recursive(6, 5).scale2(1)
+    # a cold (3, 7): a scan that kept every state until the root peaked at
+    # 53.0 MB here
+    families._expand.cache_clear()
+    families._dp_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        xvar_enum(3, 7, budget=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27e6
+
+
+@pytest.mark.parametrize("r, n", [pytest.param(5, 6, marks=_SLOW)])
+def test_scan_peak_rss(r, n):
+    # a scan that kept every state until the root peaked at 1.27 GB at (5, 6).
+    # The child's ru_maxrss would include the peak of this process, which it
+    # inherits across fork and exec, so the child reads its own VmHWM.
+    code = (
+        "from qkron.families import xvar_enum; "
+        f"xvar_enum({r}, {n}, budget=None); "
+        "print(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(families.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=600)
+    assert int(out.stdout) <= 635 * 1024  # kilobytes
+
+
+def _walked_blk(path, lo, is_red, hi):
+    A = B = S = T = 0
+    for t in range(lo, hi + 1):
+        a, b = families._in_subpath_weight(path, lo, is_red, t)
+        T += B * a
+        A += a
+        B += b
+        S += a - b
+    return (A, B, S - 2 * T)
+
+
+@pytest.mark.parametrize("r, n", [(3, 6), (4, 6), (5, 6)])
+def test_block_sums_match_a_per_edge_walk(r, n):
+    path = build_dyck(r, n)
+    tb = families._DpTables(path)
+    subpaths = [el for els in tb.by_lo.values() for el in els if el.subpath]
+    assert len(subpaths) == path.height * (path.height + 1) // 2
+    for el in subpaths:
+        assert el.blk == _walked_blk(path, el.lo, not el.bluegreen, el.hi), el
+
+
+def test_first_gap_in_the_weight_table_is_reported(monkeypatch):
+    # the shared walks must raise on the same subpath and edge as one walk
+    # per subpath in element order: the first subpath covering a bad edge,
+    # at its first bad edge
+    path = build_dyck(4, 6)
+    real = families._in_subpath_weight
+    subs = [el for el in path_elements(path) if isinstance(el, Subpath)]
+    late = next(el for el in reversed(subs) if el.color.kind == "red")
+    early = next(el for el in subs if el.color.kind != "red" and el.hi > late.lo + 1)
+    # the earlier element's bad edge lies further along than the later one's
+    bad = {(early.lo, False, early.hi), (late.lo, True, late.lo + 1)}
+
+    def gappy(path, lo, is_red, t):
+        if (lo, is_red, t) in bad:
+            raise ExhaustivenessViolation(f"{lo} {is_red} {t}")
+        return real(path, lo, is_red, t)
+
+    first = next(  # one walk per subpath, in element order
+        f"{el.lo} {red} {t}"
+        for el in path_elements(path) if isinstance(el, Subpath)
+        for red in [el.color.kind == "red"]
+        for t in range(el.lo, el.hi + 1) if (el.lo, red, t) in bad
+    )
+    monkeypatch.setattr(families, "_in_subpath_weight", gappy)
+    with pytest.raises(ExhaustivenessViolation) as exc:
+        families._DpTables(path)
+    assert str(exc.value) == first
 
 
 @pytest.mark.parametrize("r, n", [(3, 6), (4, 6), (5, 6)])
