@@ -8,8 +8,11 @@ immutable; arithmetic returns new objects.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 
 from .errors import (
     InvalidParameter,
@@ -66,19 +69,49 @@ def _digit_width(bound: int) -> int:
     return (bound.bit_length() + 2 + 7) // 8
 
 
+# A digit of at most 8 bytes is held in a lane, the narrowest signed array
+# item of 1, 2, 4 or 8 bytes that fits it.  _FLIP toggles the top bit, so
+# the two's complement of a digit d reads as d + half and back; _SIGN maps
+# the top byte of d + half to the byte that sign-extends d.
+_LANES = {array(code).itemsize: code for code in "bhilq"}
+_FLIP = bytes(range(128, 256)) + bytes(range(128))
+_SIGN = b"\xff" * 128 + b"\x00" * 128
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _offset(length: int, width: int) -> int:
+    """Half the digit base in each of length digits of width bytes."""
+    return int.from_bytes((b"\x00" * (width - 1) + b"\x80") * length, "little")
+
+
 def _pack(t: dict, lo: int, length: int, width: int, step: int = 1):
     """The digits t[lo + step*i], i < length, evaluated at 2^(8*width): one
-    big integer (an mpz when gmpy2 is present).  Every exponent of t must
-    lie on that lattice."""
-    pos = bytearray(length * width)
-    neg = bytearray(length * width)
-    for k, c in t.items():
-        off = (k - lo) // step * width
-        if c > 0:
-            pos[off : off + width] = c.to_bytes(width, "little")
-        else:
-            neg[off : off + width] = (-c).to_bytes(width, "little")
-    return _mpz(int.from_bytes(pos, "little") - int.from_bytes(neg, "little"))
+    big integer (an mpz when gmpy2 is present).  Refuses, as an
+    AssertionError, a digit outside [-half, half) of the base and a term
+    off that lattice or outside the span.
+
+    Up to 8 bytes a digit, its balanced value d + half is the two's
+    complement of d with the top bit flipped, so the digits are written as
+    lanes, cut to width bytes and flipped by C builtins."""
+    digits = list(map(t.get, range(lo, lo + step * length, step), repeat(0)))
+    half = 1 << (8 * width - 1)
+    if max(digits) >= half or min(digits) < -half:
+        raise AssertionError("packed digit outside its digit bound")
+    if len(t) != length - digits.count(0):
+        raise AssertionError("packed term off the lattice or outside the span")
+    if width <= 8:
+        lane = 1 << (width - 1).bit_length()
+        lanes = array(_LANES[lane], digits)
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        lanes = lanes.tobytes()
+        raw = bytearray(length * width)
+        for j in range(width - 1):
+            raw[j::width] = lanes[j::lane]
+        raw[width - 1 :: width] = lanes[width - 1 :: lane].translate(_FLIP)
+    else:
+        raw = b"".join([(c + half).to_bytes(width, "little") for c in digits])
+    return _mpz(int.from_bytes(raw, "little") - _offset(length, width))
 
 
 def _unpack(val, lo: int, length: int, width: int, step: int = 1) -> dict:
@@ -88,16 +121,31 @@ def _unpack(val, lo: int, length: int, width: int, step: int = 1) -> dict:
     without carries (|digit| < half), so the byte string of the shifted
     value can be read windowwise.  A digit outside that bound leaves the
     shifted value outside [0, base^length) when it is the top digit.
+    Up to 8 bytes a digit, flipping the top bit back and sign-extending
+    gives each digit as a lane, read by one array conversion.
     """
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((b"\x00" * (width - 1) + b"\x80") * length, "little")
-    shifted = int(val + offset)
+    shifted = int(val + _offset(length, width))
     if shifted < 0 or shifted.bit_length() > 8 * width * length:
         raise AssertionError("packed multiplication exceeded its digit bound")
     raw = shifted.to_bytes(length * width, "little")
-    frm = int.from_bytes
-    digits = [frm(raw[i : i + width], "little") for i in range(0, length * width, width)]
-    return {lo + step * i: c - half for i, c in enumerate(digits) if c != half}
+    if width <= 8:
+        lane = 1 << (width - 1).bit_length()
+        lanes = bytearray(lane * length)
+        for j in range(width - 1):
+            lanes[j::lane] = raw[j::width]
+        top = raw[width - 1 :: width]
+        lanes[width - 1 :: lane] = top.translate(_FLIP)
+        top = top.translate(_SIGN)
+        for j in range(width, lane):
+            lanes[j::lane] = top
+        digits = array(_LANES[lane], lanes)
+        if _BIG_ENDIAN:
+            digits.byteswap()
+        digits = digits.tolist()
+    else:
+        half, frm = 1 << (8 * width - 1), int.from_bytes
+        digits = [frm(raw[i : i + width], "little") - half for i in range(0, length * width, width)]
+    return dict(compress(zip(range(lo, lo + step * length, step), digits), digits))
 
 
 class _OffStride(AssertionError):
@@ -179,7 +227,8 @@ def _mul_packed_pairs(acc: dict, p1: dict, p2: dict, g: int, bits: int) -> None:
 
 
 def _max_coeff(t: dict) -> int:
-    return max(abs(c) for d in t.values() for c in d.values())
+    values = list(map(dict.values, t.values()))
+    return max(max(map(max, values)), -min(map(min, values)))
 
 
 def _offset_gcd(*ts: dict) -> int:
@@ -304,7 +353,9 @@ class QLaurent:
         return len(self._t)
 
     def max_coeff_bits(self) -> int:
-        return max((abs(c).bit_length() for c in self._t.values()), default=0)
+        # the largest |c| is the largest or the smallest c
+        v = self._t.values()
+        return max(max(v).bit_length(), min(v).bit_length()) if v else 0
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -314,7 +365,7 @@ class QLaurent:
         return all(k2 % 2 == 0 for k2 in self._t)
 
     def has_negative_coeff(self) -> bool:
-        return any(c < 0 for c in self._t.values())
+        return min(self._t.values(), default=0) < 0
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qkron.errors import (
@@ -169,6 +169,25 @@ def test_compress_power():
     with pytest.raises(NotAPowerSeriesInQr):
         QLaurent.q_power(-4).compress_power(2)
     assert (1 + q**2).substitute_power(3).compress_power(3) == 1 + q**2
+    # odd, negative and non-multiple exponents: the first offender is named
+    for terms, bad in (({0: 1, 4: 2, 3: 1}, 3), ({0: 1, -4: 1}, -4), ({8: 1, 6: 2, 1: 1}, 6)):
+        with pytest.raises(NotAPowerSeriesInQr) as err:
+            QLaurent(terms).compress_power(2)
+        assert str(err.value) == f"exponent q^({bad}/2) is not a nonnegative multiple of 2"
+
+
+def test_coefficient_scans():
+    from qkron.qlaurent import _max_coeff, _offset_gcd
+
+    zero = QLaurent.zero()
+    assert zero.max_coeff_bits() == 0 and not zero.has_negative_coeff()
+    assert QLaurent({0: 3, 2: -1024}).max_coeff_bits() == 11
+    assert QLaurent({0: 3, 2: -1}).has_negative_coeff()
+    assert not QLaurent({0: 3, 2: 1}).has_negative_coeff()
+    # the largest magnitude is a negative coefficient
+    assert _max_coeff({(0, 0): {0: 3, 2: -7}, (1, 0): {4: 5}}) == 7
+    assert _offset_gcd({(0, 0): {5: 1}, (1, 0): {-3: 2}}, {(2, 1): {0: 4}}) == 0
+    assert _offset_gcd({(0, 0): {5: 1}, (1, 0): {-3: 2, 9: 1, 3: 1}}) == 6
 
 
 @given(qlaurents, qlaurents, qlaurents)
@@ -220,12 +239,13 @@ def test_packed_mul_large_signed(monkeypatch):
 def test_packed_decode_digit_bound():
     from qkron.qlaurent import _pack, _unpack
 
-    # one-byte digits decode exactly while |digit| < 128
+    # one-byte digits decode exactly while -128 <= digit < 128
     t = {3: 127, 4: -127, 6: 5}
     assert _unpack(_pack(t, 3, 4, 1), 3, 4, 1) == t
+    # the digits 1, 0, 0, top as 1 + top * 256^3, which _pack would refuse
     for top in (128, 200, -129, -200):
         with pytest.raises(AssertionError, match="digit bound"):
-            _unpack(_pack({3: 1, 6: top}, 3, 4, 1), 3, 4, 1)
+            _unpack(1 + top * 256**3, 3, 4, 1)
 
 
 def test_strided_pack_roundtrip_and_digit_bound():
@@ -237,7 +257,49 @@ def test_strided_pack_roundtrip_and_digit_bound():
     assert _unpack(_pack(t, 3, 4, 1, 4), 3, 4, 1, 4) == t
     for top in (128, -129):
         with pytest.raises(AssertionError, match="digit bound"):
-            _unpack(_pack({3: 1, 15: top}, 3, 4, 1, 4), 3, 4, 1, 4)
+            _unpack(1 + top * 256**3, 3, 4, 1, 4)
+
+
+@st.composite
+def _codec_cases(draw):
+    """(width, step, lo, digits): every digit in [-half, half) of the base
+    2^(8*width), with the bound's edges, runs of zeros and one-digit spans."""
+    width = draw(st.integers(1, 10))
+    half = 1 << (8 * width - 1)
+    edges = st.sampled_from((half - 1, 1 - half, -half, 1, -1))
+    digit = st.one_of(st.just(0), edges, st.integers(-half, half - 1))
+    digits = draw(st.lists(digit, min_size=1, max_size=40))
+    return width, draw(st.sampled_from((1, 2, 4))), draw(st.integers(-60, 60)), digits
+
+
+@given(_codec_cases(), st.booleans())
+@example((1, 1, 0, [-128]), False)
+@example((8, 2, -3, [2**63 - 1, 0, 0, -(2**63)]), True)
+@example((9, 4, 5, [-(2**71), 0, 2**71 - 1]), False)
+def test_codec_roundtrip(case, stub):
+    import qkron.qlaurent as qlmod
+
+    width, step, lo, digits = case
+    t = {lo + step * i: c for i, c in enumerate(digits) if c}
+    want = sum(c << (8 * width * i) for i, c in enumerate(digits))
+    with pytest.MonkeyPatch.context() as mp:
+        if stub:  # an int subclass in place of the module's _mpz
+            mp.setattr(qlmod, "_mpz", type("Z", (int,), {}))
+        val = qlmod._pack(t, lo, len(digits), width, step)
+        assert val == want
+        assert qlmod._unpack(val, lo, len(digits), width, step) == t
+
+
+def test_pack_refuses_what_it_cannot_place():
+    from qkron.qlaurent import _pack
+
+    for t, width in (({0: 128}, 1), ({2: -129}, 1), ({0: 2**71}, 9), ({0: -(2**71) - 1}, 9)):
+        with pytest.raises(AssertionError, match="digit bound"):
+            _pack(t, 0, 2, width, 2)
+    # the span is the exponents 0, 2, 4, 6
+    for t in ({0: 1, 3: 1}, {0: 1, 8: 1}, {-2: 1, 4: 1}):
+        with pytest.raises(AssertionError, match="off the lattice or outside the span"):
+            _pack(t, 0, 4, 1, 2)
 
 
 def test_text_forms():
