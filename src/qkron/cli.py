@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import cluster, families, fforacle, strata, verify
+from . import cluster, families, fforacle, strata
 from .dyck import build_dyck, render_ascii
 from .errors import InvalidParameter, QkronError
 from .qlaurent import c_sequence
@@ -120,6 +120,8 @@ def _ffstrata(args):
 
 
 def _verify(args):
+    from . import verify  # the only user: other commands skip compiling it
+
     if args.list or not args.suite:
         suites = sorted(verify.SUITES.items())
         lines = [f"{name}: {desc}" for name, (_, desc) in suites]

@@ -15,11 +15,11 @@ exact inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import BudgetExceeded, ExtractionFailed, InvalidParameter
 from .qlaurent import ONE, QLaurent, c_sequence
+from .records import Record
 from .torus import TorusElement, left_divide
 
 # Each recursion step is refused, and so never cached, past these sizes.
@@ -46,7 +46,8 @@ def xvar_recursive(r: int, n: int) -> TorusElement:
         return TorusElement.monomial(1, 0) if n == 1 else TorusElement.monomial(0, 1)
     try:
         prev2 = xvar_recursive(r, n - 2)
-        numerator = (xvar_recursive(r, n - 1) ** r).scale2(r) + TorusElement.one()
+        # q^(1/2) is central: scaling X_{n-1} once gives q^(r/2) X_{n-1}^r
+        numerator = xvar_recursive(r, n - 1).scale2(1) ** r + TorusElement.one()
     except RecursionError:  # raised while descending the cold chain, before any work
         raise BudgetExceeded("the uncached chain is deeper than Python's recursion limit") from None
     cur = left_divide(prev2, numerator)
@@ -57,15 +58,17 @@ def xvar_recursive(r: int, n: int) -> TorusElement:
     return cur
 
 
-@dataclass
-class GrTable:
+class GrTable(Record):
     """Per-dimension-vector polynomials attached to one cluster variable."""
 
-    r: int
-    n: int
-    d1: int
-    d2: int
-    entries: dict = field(default_factory=dict)  # (e1, e2) -> QLaurent
+    __slots__ = ("r", "n", "d1", "d2", "entries")
+
+    def __init__(self, r: int, n: int, d1: int, d2: int, entries: dict | None = None):
+        self.r = r
+        self.n = n
+        self.d1 = d1
+        self.d2 = d2
+        self.entries = {} if entries is None else entries  # (e1, e2) -> QLaurent
 
     def entry(self, e1: int, e2: int) -> QLaurent:
         return self.entries.get((e1, e2), QLaurent.zero())
@@ -99,12 +102,17 @@ def gr_table(r: int, n: int) -> GrTable:
         if not (0 <= e1 <= d1 and 0 <= e2 <= d2):
             raise ExtractionFailed(f"recovered ({e1}, {e2}) outside the box")
         prefactor2 = r * (e1 * e1 + (d2 - e2) ** 2) - d1 * d2
-        try:
-            poly = coeff.shift2(-prefactor2).compress_power(r)
-        except Exception as exc:
-            raise ExtractionFailed(
-                f"coefficient at ({e1}, {e2}) is not a polynomial in q^{r}: {exc}"
-            ) from exc
+        # one pass for coeff.shift2(-prefactor2).compress_power(r)
+        terms = {}
+        for k2, c in coeff._t.items():
+            k2 -= prefactor2
+            if k2 % 2 or k2 < 0 or (k2 // 2) % r:
+                raise ExtractionFailed(
+                    f"coefficient at ({e1}, {e2}) is not a polynomial in q^{r}: "
+                    f"exponent q^({k2}/2) is not a nonnegative multiple of {r}"
+                )
+            terms[k2 // r] = c
+        poly = QLaurent._raw(terms)
         if poly.has_negative_coeff():
             raise ExtractionFailed(f"negative coefficient at ({e1}, {e2})")
         entries[(e1, e2)] = poly

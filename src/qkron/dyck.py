@@ -15,18 +15,16 @@ integer cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import AmbiguousGreenLabel, IndexOutOfRange, InvalidParameter
 from .qlaurent import c_sequence
 
 
-@dataclass(frozen=True)
-class Color:
-    kind: str  # "blue" | "green" | "red"
-    m: int | None = None
-    w: int | None = None
+class Color(namedtuple("Color", "kind m w", defaults=(None, None))):
+    # kind is "blue" | "green" | "red"; m and w are set for green only
+    __slots__ = ()
 
     @classmethod
     def blue(cls):
@@ -46,15 +44,12 @@ class Color:
         return self.kind
 
 
-@dataclass(frozen=True)
-class DyckPath:
-    r: int
-    n: int
-    width: int  # c_{n-1} - c_{n-2}
-    height: int  # c_{n-2}
-    word: str  # 'h'/'v' per edge, edges are 1-indexed
-    v_edge: tuple  # v_edge[j] = edge index of the j-th vertical edge; v_edge[0] = 0
-    coords: tuple  # coords[t] = lattice point after t edges
+class DyckPath(namedtuple("DyckPath", "r n width height word v_edge coords")):
+    # width = c_{n-1} - c_{n-2}, height = c_{n-2}
+    # word: 'h'/'v' per edge, edges are 1-indexed
+    # v_edge[j] = edge index of the j-th vertical edge; v_edge[0] = 0
+    # coords[t] = lattice point after t edges
+    __slots__ = ()
 
     @property
     def n_edges(self) -> int:

@@ -23,7 +23,7 @@ test-suite on every desk-size instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .dyck import Color, DyckPath, build_dyck, classify
@@ -41,9 +41,8 @@ DEFAULT_FAMILY_BUDGET = 30_000_000
 MAX_SCAN_STATES = 100_000
 
 
-@dataclass(frozen=True)
-class SingleEdge:
-    index: int
+class SingleEdge(namedtuple("SingleEdge", "index")):
+    __slots__ = ()
 
     @property
     def lo(self) -> int:
@@ -54,19 +53,13 @@ class SingleEdge:
         return self.index
 
 
-@dataclass(frozen=True)
-class Subpath:
-    i: int
-    k: int
-    color: Color
-    lo: int
-    hi: int
+class Subpath(namedtuple("Subpath", "i k color lo hi")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Family:
-    elements: frozenset
-    support: frozenset
+class Family(namedtuple("Family", "elements support")):
+    # both frozensets: the chosen elements and the edges they cover
+    __slots__ = ()
 
     def subpaths(self):
         return sorted(
@@ -236,14 +229,10 @@ def enumerate_families(path: DyckPath):
 # from that count therefore makes every decode exact.
 
 
-@dataclass(frozen=True)
-class _DpEl:
-    lo: int
-    hi: int
-    subpath: bool
-    bluegreen: bool
-    window: int  # admissibility window length; 0 for non-greens
-    blk: tuple  # (A, B, doubled exponent)
+class _DpEl(namedtuple("_DpEl", "lo hi subpath bluegreen window blk")):
+    # window: admissibility window length, 0 for non-greens
+    # blk: (A, B, doubled exponent)
+    __slots__ = ()
 
 
 class _DpTables:

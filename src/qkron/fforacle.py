@@ -21,10 +21,9 @@ materialized into lists; a vector over F_p is the integer sum_j v_j p^j.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import mul
 
 from .errors import BudgetExceeded, ConstructionFailed, InvalidParameter
@@ -35,16 +34,11 @@ DEFAULT_SUBSPACE_CAP = 2_000_000
 SEARCH_ATTEMPTS = 1000  # random candidates tried per module before giving up
 
 
-@dataclass(frozen=True)
-class FFModule:
+class FFModule(namedtuple("FFModule", "p r n d1 d2 phis")):
     """A representation over F_p: r matrices of shape d2 x d1."""
 
-    p: int
-    r: int
-    n: int
-    d1: int
-    d2: int
-    phis: tuple  # r matrices, each a tuple of d2 rows (tuples of d1 ints)
+    # phis: r matrices, each a tuple of d2 rows (tuples of d1 ints)
+    __slots__ = ()
 
     def to_obj(self):
         return {
@@ -276,17 +270,30 @@ def _preimage_dim_hist(mod: FFModule, u: int):
 def _row_table(phi, p: int) -> list:
     """tbl[w] = w . phi for every w in F_p^{d2}, w and the product encoded
     as integers.  Row by row: with rows 0..i-1 done, the next block is the
-    previous block plus row i, p - 1 times over, each sum encoded as it is
-    made, so the table holds integers only."""
-    d1 = len(phi[0])
-    powers = [p**j for j in range(d1)]
+    previous block plus row i, p - 1 times over.  At p = 2 a block is the
+    table XOR the row's code.  At odd p each entry's digits ride beside its
+    code as ASCII digits, most significant first, one separator byte after
+    each entry and a block's entries in one bytes object: adding the row to
+    every entry is one integer sum (no byte carries), one translate reduces
+    it mod p, and ``int(entry, p)`` reads each code back."""
+    if p == 2:
+        tbl = [0]
+        for code in _encode([[x % 2 for x in row] for row in phi], 2):
+            tbl += [v ^ code for v in tbl]
+        return tbl
+    zero, sep = ord("0"), b" "
+    mod_p = bytes(i if i < zero else zero + (i - zero) % p for i in range(256))
     tbl = [0]
-    for row in phi:
-        blk = tbl
+    digs = bytearray(b"0" * len(phi[0]) + sep)
+    for i, row in enumerate(phi, 1):
+        lane = bytes(y % p for y in reversed(row)) + b"\0"
+        step = int.from_bytes(lane * (len(digs) // len(lane)), "big")
+        blk = digs
         for _ in range(p - 1):
-            blk = [sum((x + y) % p * c for x, y, c in zip(_digits(v, p, d1), row, powers))
-                   for v in blk]
-            tbl = tbl + blk
+            blk = (int.from_bytes(blk, "big") + step).to_bytes(len(blk), "big").translate(mod_p)
+            if i < len(phi):  # no later row reads the last row's digits
+                digs += blk
+            tbl += map(int, blk.split(), repeat(p))
     return tbl
 
 

@@ -22,11 +22,11 @@ small r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .cluster import GrTable
 from .errors import InvalidParameter
 from .qlaurent import QLaurent, q_binomial
+from .records import Record
 
 
 def q_binomial_matrix(size: int):
@@ -62,15 +62,18 @@ def transform_matrix(size: int):
     ]
 
 
-@dataclass
-class StrataTable:
+class StrataTable(Record):
     """Open and closed stratum polynomials for one fixed e2."""
 
-    e2: int
-    d1: int
-    d2: int
-    zprime: dict = field(default_factory=dict)  # p -> QLaurent
-    zbarprime: dict = field(default_factory=dict)
+    __slots__ = ("e2", "d1", "d2", "zprime", "zbarprime")
+
+    def __init__(self, e2: int, d1: int, d2: int, zprime: dict | None = None,
+                 zbarprime: dict | None = None):
+        self.e2 = e2
+        self.d1 = d1
+        self.d2 = d2
+        self.zprime = {} if zprime is None else zprime  # p -> QLaurent
+        self.zbarprime = {} if zbarprime is None else zbarprime
 
     def zp(self, p: int) -> QLaurent:
         return self.zprime.get(p, QLaurent.zero())

@@ -197,6 +197,15 @@ def test_verify_rejects_arguments_the_suite_does_not_take(capsys):
         assert json.loads(out)["error"] == "InvalidParameter"
 
 
+def test_verify_matrix_rejects_r_with_the_exact_message(capsys):
+    message = "suite 'matrix' got an unexpected keyword argument 'r'"
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "matrix", "--r", "2", "--format", fmt)
+        assert code == 2
+        assert err == f"error: InvalidParameter: {message}\n"
+        assert json.loads(out) == {"error": "InvalidParameter", "message": message}
+
+
 def test_unwritable_output_is_reported(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, "cn", "--r", "2", "--n", "5", "--output", str(target))

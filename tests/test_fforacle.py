@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qkron.cluster import gr_table
@@ -9,6 +11,7 @@ from qkron.fforacle import (
     _iter_bases,
     _preimage_dim_hist,
     _rank_modp,
+    _row_table,
     build_module,
     count_gr,
     count_strata,
@@ -104,6 +107,31 @@ def test_count_gr_wide_second_vertex():
     assert count_gr(mod, 2, 40) == 1
     with pytest.raises(BudgetExceeded):
         count_gr(mod, 0, 1)
+
+
+def _row_table_by_digits(phi, p):
+    """The table by one digit loop per entry: tbl[w] = w . phi mod p, with
+    w = sum_i w_i p^i and the product encoded the same way."""
+    d1, d2 = len(phi[0]), len(phi)
+    tbl = []
+    for w in range(p**d2):
+        wd = _digits(w, p, d2)
+        tbl.append(sum(sum(wd[i] * phi[i][j] for i in range(d2)) % p * p**j for j in range(d1)))
+    return tbl
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_row_table_matches_the_digit_loop(p):
+    rng = random.Random(f"row-table-{p}")
+    for d1, d2 in [(1, 1), (4, 3), (9, 2), (3, 5)]:
+        # entries outside 0..p-1 too: the table reduces them mod p
+        phi = tuple(tuple(rng.randrange(-p, 2 * p) for _ in range(d1)) for _ in range(d2))
+        assert _row_table(phi, p) == _row_table_by_digits(phi, p), (d1, d2)
+    for r, n, q in FF_CONFIGS:
+        mod = build_module(q, r, n)
+        if mod.d2 <= 6:
+            for phi in mod.phis:
+                assert _row_table(phi, p) == _row_table_by_digits(phi, p)
 
 
 def test_count_strata_examples():
