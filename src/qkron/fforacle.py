@@ -15,16 +15,17 @@ follow by Gaussian binomials, and the image-dimension histograms on the
 first vertex are solved from those counts by a unitriangular system.
 
 Subspaces are enumerated by reduced-echelon pivot patterns and never
-materialized into lists; a vector over F_p is the integer sum_j v_j p^j.
+materialized into lists.  A vector over F_p is coded, for every p, as the
+integer sum_j v_j 256^j, one byte per coordinate; the echelon rows are
+base-p integers sum_i w_i p^i only because they index the row tables.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter, namedtuple
-from functools import lru_cache, partial
-from itertools import combinations, product, repeat
-from operator import mul
+from functools import lru_cache
+from itertools import combinations, product
 
 from .errors import BudgetExceeded, ConstructionFailed, InvalidParameter
 from .qlaurent import c_sequence, q_binomial
@@ -52,71 +53,55 @@ class FFModule(namedtuple("FFModule", "p r n d1 d2 phis")):
         phis = tuple(
             tuple(tuple(int(x) for x in row) for row in phi) for phi in obj["phis"]
         )
-        if not phis or not phis[0]:
+        p, r = int(obj["p"]), int(obj["r"])
+        if p not in ALLOWED_PRIMES:
+            raise InvalidParameter(f"p must be one of {ALLOWED_PRIMES}, got {p}")
+        if not phis or not phis[0] or not phis[0][0]:
             raise InvalidParameter("module JSON must carry nonempty matrices")
+        if len(phis) != r:
+            raise InvalidParameter(f"module JSON carries {len(phis)} matrices, not r = {r}")
         d2 = len(phis[0])
         d1 = len(phis[0][0])
-        return cls(int(obj["p"]), int(obj["r"]), n, d1, d2, phis)
+        if any(len(phi) != d2 or any(len(row) != d1 for row in phi) for phi in phis):
+            raise InvalidParameter(f"every matrix must be {d2} x {d1}")
+        return cls(p, r, n, d1, d2, phis)
 
 
 # -- exact linear algebra mod p ------------------------------------------------
 
+# b -> b mod p for every byte b, one table per prime.  A row plus a multiple
+# (at most p - 1) of another row has bytes below p(p - 1) < 256: no carries.
+_BYTE_MOD = {p: bytes(b % p for b in range(256)) for p in ALLOWED_PRIMES}
 
-def _rank_gf2(rows) -> int:
-    """Rank of integer-bitmask rows over F_2."""
+
+def _reduce(v: int, p: int) -> int:
+    """The code v with every byte taken mod p."""
+    return int.from_bytes(
+        v.to_bytes((v.bit_length() + 7) >> 3, "little").translate(_BYTE_MOD[p]), "little"
+    )
+
+
+def _code(vector, p: int) -> int:
+    """The integer sum_j (v_j mod p) 256^j."""
+    return int.from_bytes(bytes(x % p for x in vector), "little")
+
+
+def _rank(rows, p: int) -> int:
+    """Rank over F_p of rows given as codes sum_j v_j 256^j, 0 <= v_j < p.
+
+    The basis is keyed by the leading byte, and each basis row is scaled
+    so that its leading digit is 1."""
     basis: dict = {}
-    rank = 0
     for v in rows:
         while v:
-            h = v.bit_length() - 1
+            h = v.bit_length() >> 3  # a digit below 8 fills at most 3 bits of its byte
+            lead = v >> 8 * h
             w = basis.get(h)
             if w is None:
-                basis[h] = v
-                rank += 1
+                basis[h] = v if lead == 1 else _reduce(v * pow(lead, -1, p), p)
                 break
-            v ^= w
-    return rank
-
-
-def _rank_modp(rows, p: int, width: int) -> int:
-    """Rank over F_p of rows given as integers sum_j v_j p^j, j < width
-    (Gauss-Jordan on their digits)."""
-    mat = [_digits(v, p, width) for v in rows]
-    rank = 0
-    for col in range(width):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] % p:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _digits(v: int, p: int, width: int) -> list:
-    """The digits v_0, ..., v_{width-1} of v = sum_j v_j p^j."""
-    out = []
-    for _ in range(width):
-        v, d = divmod(v, p)
-        out.append(d)
-    return out
-
-
-def _encode(vectors, p: int) -> list:
-    """Each vector of digits v_j in [0, p) as the integer sum_j v_j p^j."""
-    powers = [p**j for j in range(len(vectors[0]))]
-    return [sum(map(mul, v, powers)) for v in vectors]
+            v = v ^ w if p == 2 else _reduce(v + (p - lead) * w, p)
+    return len(basis)
 
 
 # -- subspace enumeration ------------------------------------------------------
@@ -130,9 +115,9 @@ def _num_subspaces(p: int, dim: int, k: int) -> int:
 
 def _iter_bases(p: int, dim: int, k: int):
     """Reduced-echelon bases of k-subspaces of F_p^dim, each row as the
-    integer sum_j v_j p^j (a bitmask over F_2).  For each pivot pattern the
-    rows vary independently: row i is p^(pivot i) plus any combination of
-    the non-pivot columns after it."""
+    integer sum_j v_j p^j, an index into the ``_row_table`` tables.  For each
+    pivot pattern the rows vary independently: row i is p^(pivot i) plus any
+    combination of the non-pivot columns after it."""
     for pivots in combinations(range(dim), k):
         choices = []
         for pi in pivots:
@@ -148,34 +133,19 @@ def _iter_bases(p: int, dim: int, k: int):
 
 
 def end_dim(mod: FFModule) -> int:
-    """Dimension of {(A, B) : B phi_k = phi_k A for all k} over F_p."""
+    """Dimension of {(A, B) : B phi_k = phi_k A for all k} over F_p.
+
+    The unknowns are B (d2 x d2, entry (i, l) at byte i d2 + l) and then A
+    (d1 x d1, entry (l, j) at byte d2^2 + l d1 + j), so the equation for
+    entry (i, j) of B phi_k - phi_k A leads with an entry of A."""
     d1, d2, p = mod.d1, mod.d2, mod.p
-    nvars = d1 * d1 + d2 * d2
-    if p == 2:
-        rows = []
-        for phi in mod.phis:
-            for i in range(d2):
-                for j in range(d1):
-                    v = 0
-                    for l in range(d2):
-                        if phi[l][j]:
-                            v |= 1 << (d1 * d1 + i * d2 + l)
-                    for l in range(d1):
-                        if phi[i][l]:
-                            v ^= 1 << (l * d1 + j)
-                    rows.append(v)
-        return nvars - _rank_gf2(rows)
     rows = []
     for phi in mod.phis:
-        for i in range(d2):
-            for j in range(d1):
-                row = [0] * nvars
-                for l in range(d2):
-                    row[d1 * d1 + i * d2 + l] = phi[l][j] % p
-                for l in range(d1):
-                    row[l * d1 + j] = (-phi[i][l]) % p
-                rows.append(row)
-    return nvars - _rank_modp(_encode(rows, p), p, nvars)
+        cols = [_code([row[j] for row in phi], p) for j in range(d1)]
+        for i, row in enumerate(phi):
+            neg_row = sum(-x % p << 8 * (d2 * d2 + l * d1) for l, x in enumerate(row))
+            rows += [col << 8 * i * d2 | neg_row << 8 * j for j, col in enumerate(cols)]
+    return d1 * d1 + d2 * d2 - _rank(rows, p)
 
 
 def build_module(p: int, r: int, n: int, seed: int = 0) -> FFModule:
@@ -247,7 +217,7 @@ def _check_cap(mod: FFModule, u: int, cap: int) -> None:
 
 # The histograms are keyed on (module, dimension) only: callers check the cap
 # before asking, so a refused call caches nothing and a second cap reuses them.
-# A criterion-5 pass over the ten FF_CONFIGS holds about 120 of them.
+# A criterion-5 pass over the fourteen FF_CONFIGS holds about 170 of them.
 @lru_cache(maxsize=1024)
 def _preimage_dim_hist(mod: FFModule, u: int):
     """Histogram {dim(intersection of phi_k^{-1}(U)) : U in Gr_u(F_p^{d2})}.
@@ -258,42 +228,34 @@ def _preimage_dim_hist(mod: FFModule, u: int):
     d1, d2, p = mod.d1, mod.d2, mod.p
     if u == d2:  # W = 0
         return {d1: 1}
-    rank = _rank_gf2 if p == 2 else partial(_rank_modp, p=p, width=d1)
     if u == 0:  # W = F_p^{d2}: every row of every phi_k
-        return {d1 - rank(_encode([[x % p for x in row] for phi in mod.phis for row in phi], p)): 1}
+        return {d1 - _rank([_code(row, p) for phi in mod.phis for row in phi], p): 1}
     # 0 < u < d2: at least p^(d2-1) subspaces, which bounds the tables by p * cap
     tables = [_row_table(phi, p) for phi in mod.phis]
-    return dict(Counter(d1 - rank([tbl[w] for w in basis for tbl in tables])
+    return dict(Counter(d1 - _rank([tbl[w] for w in basis for tbl in tables], p)
                         for basis in _iter_bases(p, d2, d2 - u)))
 
 
 def _row_table(phi, p: int) -> list:
-    """tbl[w] = w . phi for every w in F_p^{d2}, w and the product encoded
-    as integers.  Row by row: with rows 0..i-1 done, the next block is the
-    previous block plus row i, p - 1 times over.  At p = 2 a block is the
-    table XOR the row's code.  At odd p each entry's digits ride beside its
-    code as ASCII digits, most significant first, one separator byte after
-    each entry and a block's entries in one bytes object: adding the row to
-    every entry is one integer sum (no byte carries), one translate reduces
-    it mod p, and ``int(entry, p)`` reads each code back."""
-    if p == 2:
-        tbl = [0]
-        for code in _encode([[x % 2 for x in row] for row in phi], 2):
-            tbl += [v ^ code for v in tbl]
-        return tbl
-    zero, sep = ord("0"), b" "
-    mod_p = bytes(i if i < zero else zero + (i - zero) % p for i in range(256))
+    """tbl[w] = the code of w . phi for every w = sum_i w_i p^i in F_p^{d2}.
+
+    Row by row: with rows 0..i-1 done, the next block of entries is the
+    previous block plus row i, p - 1 times over.  A block is one bytes
+    object, d1 bytes per entry, so adding the row to every entry is one
+    integer sum and one translate, and each entry is read back from its
+    d1-byte slice."""
+    d1 = len(phi[0])
     tbl = [0]
-    digs = bytearray(b"0" * len(phi[0]) + sep)
+    done = bytearray(d1)  # the entries so far, as the next row's block
     for i, row in enumerate(phi, 1):
-        lane = bytes(y % p for y in reversed(row)) + b"\0"
-        step = int.from_bytes(lane * (len(digs) // len(lane)), "big")
-        blk = digs
+        step = int.from_bytes(bytes(x % p for x in row) * len(tbl), "little")
+        blk = bytes(done)
         for _ in range(p - 1):
-            blk = (int.from_bytes(blk, "big") + step).to_bytes(len(blk), "big").translate(mod_p)
-            if i < len(phi):  # no later row reads the last row's digits
-                digs += blk
-            tbl += map(int, blk.split(), repeat(p))
+            blk = (int.from_bytes(blk, "little") + step).to_bytes(len(blk), "little")
+            blk = blk.translate(_BYTE_MOD[p])
+            if i < len(phi):  # no later row reads the last row's block
+                done += blk
+            tbl += [int.from_bytes(blk[k:k + d1], "little") for k in range(0, len(blk), d1)]
     return tbl
 
 

@@ -19,7 +19,7 @@ from .torus import TorusElement, left_divide, word_to_torus
 BRIDGE_PAIRS = ((2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (4, 5), (5, 5))
 FF_CONFIGS = (
     (2, 4, 2), (2, 4, 3), (2, 5, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2), (3, 5, 2), (3, 5, 3),
-    (4, 5, 2), (5, 5, 2),
+    (4, 5, 2), (5, 5, 2), (2, 7, 2), (2, 7, 3), (2, 8, 2), (2, 8, 3),
 )
 XVAR_GRID = ((2, 8), (3, 6), (4, 6), (5, 5))  # (r, largest n) computed per suite
 

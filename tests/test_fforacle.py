@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,12 +6,13 @@ import pytest
 from qkron.cluster import gr_table
 from qkron.errors import BudgetExceeded, InvalidParameter
 from qkron.fforacle import (
+    _BYTE_MOD,
+    ALLOWED_PRIMES,
     FFModule,
-    _digits,
     _image_dim_hist,
     _iter_bases,
     _preimage_dim_hist,
-    _rank_modp,
+    _rank,
     _row_table,
     build_module,
     count_gr,
@@ -61,6 +63,13 @@ def test_end_dim_detects_non_rigid():
     assert end_dim(mod) > 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_end_dim_reduces_entries_mod_p(p):
+    # from_obj keeps entries outside 0..p-1; these are the coordinate functionals
+    mod = FFModule(p, 2, 4, 2, 1, (((1 + p, p),), ((-p, 1 - p),)))
+    assert end_dim(mod) == 1
+
+
 def test_count_gr_examples():
     mod = build_module(2, 2, 6)
     assert count_gr(mod, 0, 1) == 7
@@ -109,14 +118,78 @@ def test_count_gr_wide_second_vertex():
         count_gr(mod, 0, 1)
 
 
+def _digits(v, p, width):
+    """The digits v_0, ..., v_{width-1} of v = sum_j v_j p^j."""
+    out = []
+    for _ in range(width):
+        v, d = divmod(v, p)
+        out.append(d)
+    return out
+
+
+def _byte_code(vector, p):
+    """The row code of fforacle: sum_j (v_j mod p) 256^j."""
+    return sum(x % p << 8 * j for j, x in enumerate(vector))
+
+
+def _rank_by_elimination(mat, p):
+    """Rank over F_p of a list of digit lists, by Gauss-Jordan elimination."""
+    mat = [[x % p for x in row] for row in mat]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_byte_tables_cover_the_allowed_primes():
+    assert sorted(_BYTE_MOD) == sorted(ALLOWED_PRIMES)
+    for p, table in _BYTE_MOD.items():
+        assert p * (p - 1) < 256  # a row plus p - 1 times a row never carries
+        assert table == bytes(b % p for b in range(256))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_matches_elimination(p):
+    rng = random.Random(f"rank-{p}")
+    for case in range(300):
+        width = rng.randint(1, 40)
+        nrows = rng.randint(0, 12)
+        if case % 3 == 0:  # rank-deficient: rows in the span of a few random ones
+            gens = [[rng.randrange(p) for _ in range(width)] for _ in range(rng.randint(1, 4))]
+            mat = [
+                [sum(rng.randrange(p) * g[j] for g in gens) % p for j in range(width)]
+                for _ in range(nrows)
+            ]
+        else:  # sparse or dense random rows
+            density = rng.random()
+            mat = [
+                [rng.randrange(p) if rng.random() < density else 0 for _ in range(width)]
+                for _ in range(nrows)
+            ]
+        want = _rank_by_elimination(mat, p)
+        assert _rank([_byte_code(row, p) for row in mat], p) == want, (case, width, mat)
+    assert _rank([], p) == 0
+    assert _rank([0, 0], p) == 0
+
+
 def _row_table_by_digits(phi, p):
-    """The table by one digit loop per entry: tbl[w] = w . phi mod p, with
-    w = sum_i w_i p^i and the product encoded the same way."""
+    """The table by one digit loop per entry: tbl[w] = the code of w . phi,
+    with w = sum_i w_i p^i."""
     d1, d2 = len(phi[0]), len(phi)
     tbl = []
     for w in range(p**d2):
         wd = _digits(w, p, d2)
-        tbl.append(sum(sum(wd[i] * phi[i][j] for i in range(d2)) % p * p**j for j in range(d1)))
+        tbl.append(_byte_code([sum(wd[i] * phi[i][j] for i in range(d2)) for j in range(d1)], p))
     return tbl
 
 
@@ -175,11 +248,11 @@ def test_image_strata_match_brute_force():
             hist = {}
             for basis in _iter_bases(p, mod.d1, s):
                 image = [
-                    sum(sum(phi[i][j] * b[j] for j in range(mod.d1)) % p * p**i for i in range(mod.d2))
+                    [sum(phi[i][j] * b[j] for j in range(mod.d1)) for i in range(mod.d2)]
                     for b in (_digits(w, p, mod.d1) for w in basis)
                     for phi in mod.phis
                 ]
-                dim = _rank_modp(image, p, mod.d2)
+                dim = _rank_by_elimination(image, p)
                 hist[dim] = hist.get(dim, 0) + 1
             for pp in range(mod.d2 + 1):
                 assert count_strata(mod, "z", pp, s) == hist.get(mod.d2 - pp, 0), (r, n, p, pp, s)
@@ -239,6 +312,22 @@ def test_module_json():
     assert end_dim(back) == 1
 
 
+def test_module_json_validation():
+    phis = [[[1, 0]], [[0, 1]]]
+    with pytest.raises(InvalidParameter, match="p must be one of"):
+        FFModule.from_obj({"p": 4, "r": 2, "phis": phis})
+    with pytest.raises(InvalidParameter, match="not r = 3"):
+        FFModule.from_obj({"p": 2, "r": 3, "phis": phis})
+    with pytest.raises(InvalidParameter, match="1 x 2"):
+        FFModule.from_obj({"p": 2, "r": 2, "phis": [[[1, 0]], [[0, 1, 1]]]})
+    with pytest.raises(InvalidParameter, match="1 x 2"):
+        FFModule.from_obj({"p": 2, "r": 2, "phis": [[[1, 0]], [[0, 1], [1, 1]]]})
+    with pytest.raises(InvalidParameter, match="nonempty"):
+        FFModule.from_obj({"p": 2, "r": 2, "phis": [[], []]})
+    with pytest.raises(InvalidParameter, match="nonempty"):
+        FFModule.from_obj({"p": 2, "r": 0, "phis": []})
+
+
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("p", [2, 3])
 def test_r2_oracle_beyond_n6_matches_gr_table(p, n):
@@ -249,3 +338,13 @@ def test_r2_oracle_beyond_n6_matches_gr_table(p, n):
     for e1 in range(table.d1 + 1):
         for e2 in range(table.d2 + 1):
             assert count_gr(mod, e1, e2) == table.entry(e1, e2).evaluate(p)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable")
+def test_counts_match_polynomials_r3_n6_p5():
+    # d = (21, 8) at p = 5: Gr_1(F_5^8) has 97,656 points
+    mod = build_module(5, 3, 6)
+    table = gr_table(3, 6)
+    for e1 in range(table.d1 + 1):
+        assert count_gr(mod, e1, 1) == table.entry(e1, 1).evaluate(5), e1
