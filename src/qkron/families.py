@@ -14,7 +14,7 @@ Summed over all families this reproduces the cluster variable (up to a
 global q^(1/2)), which is the central cross-check of the package.
 
 Enumeration comes in two forms: a literal backtracker that yields each
-family once (``enumerate_families``), and a suffix aggregation over the
+family once (``enumerate_families``), and a prefix aggregation over the
 states of a left-to-right scan (``xvar_enum``) that computes the full sum by
 distributing the edge products; the two are compared term-for-term in the
 test-suite on every desk-size instance.
@@ -33,7 +33,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from .qlaurent import QLaurent, _add_aligned, _decode, _digit_width, _OffStride, c_sequence
+from .qlaurent import QLaurent, _digit_width, _OffStride, _unpack, c_sequence
 from .torus import TorusElement, word_to_torus
 
 DEFAULT_FAMILY_BUDGET = 30_000_000
@@ -203,30 +203,28 @@ def enumerate_families(path: DyckPath):
     yield from rec(0)
 
 
-# -- suffix aggregation ------------------------------------------------------
+# -- prefix aggregation ------------------------------------------------------
 #
 # Scanning edges left to right, a family is a choice, at each position, of
 # either "this edge stays free" or "an element starts here".  The product of
 # word weights composes like torus monomials: a block covering consecutive
 # edges is summarized by (A, B, e) with X-degree A, Y-degree B and doubled
-# q-exponent e, and prefix-suffix composition only needs the B of the prefix
-# and the A of the suffix.  The sum over all suffix choices therefore
-# depends on the scan position, on which of the last few edges are covered
-# (for admissibility windows of greens that start soon), and on whether a
-# subpath ends flush at the previous edge (for the shared-endpoint rule).
-# Folding over those states turns the family sum into a small table
-# computation while remaining exactly the same sum.  ``_scan`` lists the
-# reachable states left to right first, then fills their values right to
-# left, so a state's value lives only until the last state that reads it is
-# filled, and no step recurses.
+# q-exponent e, and appending a block to a prefix only needs the B of the
+# prefix and the A of the block.  What may follow a prefix depends only on
+# the scan position, on which of the last few edges are covered (for the
+# admissibility windows of greens that start soon), and on whether a subpath
+# ends flush at the previous edge (for the shared-endpoint rule).  Folding
+# the prefixes over those states is exactly the family sum: ``_scan`` lists
+# the reachable states first, then pushes each state's value forward into
+# its successors, in the same order, and drops it.
 #
-# A state's value maps each torus key (A, B) to one packed entry [value, lo,
-# hi]: the coefficient's digits on the doubled exponents lo, lo + g, ...,
-# hi, as one big integer (see ``qlaurent._add_aligned``).  Every digit of
-# every partial sum counts suffix completions of a reachable state, and
-# each completion extends one prefix reaching that state to a distinct
-# family, so all digits lie in [0, count_families]; a digit width taken
-# from that count therefore makes every decode exact.
+# A state's value maps each torus key (A, B) to one packed entry (value, lo):
+# the coefficient's digits on the doubled exponents lo, lo + g, ..., as one
+# big integer.  Every digit counts prefixes that reach the state, and the
+# free edges always extend a prefix to a family, distinct prefixes to
+# distinct families, so every digit lies in [0, count_families]: a digit
+# width taken from that count makes the decode exact, and as no digit
+# cancels, lo stays the lowest exponent and the value ends at its top digit.
 
 
 class _DpEl(namedtuple("_DpEl", "lo hi subpath bluegreen window blk")):
@@ -239,12 +237,8 @@ class _DpTables:
     def __init__(self, path: DyckPath):
         r = path.r
         self.N = path.n_edges
-        self.default_blk = [None]
-        for ch in path.word:
-            if ch == "h":
-                self.default_blk.append((-1, r, -1 - r))
-            else:
-                self.default_blk.append((-1, r - 1, -r))
+        self.default_blk = [None] + [(-1, r, -1 - r) if ch == "h" else (-1, r - 1, -r)
+                                     for ch in path.word]
         by_lo: dict = {}
         greens = []
         # the weights of a subpath's edges depend only on its start lo and on
@@ -271,18 +265,14 @@ class _DpTables:
                 rec = _DpEl(el.lo, el.hi, True, not is_red, window, (A, B, S - 2 * T))
             else:
                 t = el.index
-                if path.word[t - 1] == "h":
-                    blk = (-1, 0, -1)
-                else:
-                    blk = (-1, -1, 0)
+                blk = (-1, 0, -1) if path.word[t - 1] == "h" else (-1, -1, 0)
                 rec = _DpEl(t, t, False, False, 0, blk)
             by_lo.setdefault(rec.lo, []).append(rec)
         self.by_lo = by_lo
-        self.maxL = max((L for _, L in greens), default=0)
-        self.full = (1 << self.maxL) - 1
+        maxL = max((L for _, L in greens), default=0)
         # Which recent-coverage bits a state can still be asked about, and
         # whether any blue/green subpath starts at the position: anything
-        # else is irrelevant to the suffix sum and is normalized away.  The
+        # else cannot change what may follow and is normalized away.  The
         # windows of the greens starting at pos or later all reach pos - 1, so
         # the bits are one run, from a suffix minimum of the window starts.
         first = [self.N + 2] * (self.N + 3)
@@ -292,7 +282,7 @@ class _DpTables:
         self.flag_rel = [False] * (self.N + 2)
         for pos in range(self.N + 1, 0, -1):
             first[pos] = min(first[pos], first[pos + 1])
-            lo = max(1, pos - self.maxL, first[pos])
+            lo = max(1, pos - maxL, first[pos])
             self.relevant[pos] = (1 << max(pos - lo, 0)) - 1
             self.flag_rel[pos] = any(
                 el.subpath and el.bluegreen for el in by_lo.get(pos, ())
@@ -304,99 +294,109 @@ def _dp_tables(path: DyckPath) -> _DpTables:
     return _DpTables(path)
 
 
-def _scan(path: DyckPath, leaf, new, add):
-    """Fold the suffix sum of every reachable scan state, in two passes.
+def _successors(tb: _DpTables, pos: int, mask: int, flag: bool):
+    """(block, next state) for the edge at pos kept free, then for each
+    element starting at pos, with the next state normalized."""
+    rel = tb.relevant
+    yield tb.default_blk[pos], (pos + 1, (mask << 1) & rel[pos + 1], False)
+    for el in tb.by_lo.get(pos, ()):
+        if el.subpath and el.bluegreen and flag:
+            continue
+        if el.window and not (mask & ((1 << min(el.window, pos - 1)) - 1)):
+            continue
+        nxt, span = el.hi + 1, el.hi - el.lo + 1
+        yield el.blk, (nxt, ((mask << span) | ((1 << span) - 1)) & rel[nxt],
+                       el.subpath and tb.flag_rel[nxt])
 
-    ``leaf`` is the value past the last edge, ``new()`` an empty total, and
-    ``add(total, blk, sub)`` returns the total after adding the suffix value
-    ``sub`` behind the block ``blk`` (the first edge kept free, or an element
-    starting at the position).
 
-    The forward pass lists the reachable states (pos, mask, flag) position by
-    position, with each state's successors and each state's number of
-    readers, and refuses past ``MAX_SCAN_STATES`` states before any value
-    exists.  The backward pass fills the values from the last edge down to
-    the root and drops each value once its last reader has read it.
-    """
+def _list_states(path: DyckPath):
+    """(tables, the reachable states by position, the family count) from
+    the prefix counts of the states not yet reached.  Past the last edge
+    the normalization leaves one state, (N + 1, 0, False)."""
     tb = _dp_tables(path)
     layers = [[] for _ in range(tb.N + 2)]
-    readers: dict = {}
-
-    def reach(pos, mask, flag):
-        # the normalization leaves past the last edge only (N + 1, 0, False)
-        key = (pos, mask & tb.relevant[pos], flag and tb.flag_rel[pos])
-        if key in readers:
-            readers[key] += 1
-            return key
-        if len(readers) == MAX_SCAN_STATES:
-            raise BudgetExceeded(
-                f"the family scan over {tb.N} edges reaches more than "
-                f"{MAX_SCAN_STATES} states by edge {pos}"
-            )
-        readers[key] = 1
-        layers[pos].append(key)
-        return key
-
-    root = reach(1, 0, False)
-    succs: dict = {}
+    layers[1].append((1, 0, False))
+    counts, listed = {(1, 0, False): 1}, 1
     for pos in range(1, tb.N + 1):
         for key in layers[pos]:
-            _, mask, flag = key
-            out = [(tb.default_blk[pos], reach(pos + 1, (mask << 1) & tb.full, False))]
-            for el in tb.by_lo.get(pos, ()):
-                if el.subpath and el.bluegreen and flag:
+            c = counts.pop(key)
+            for _, nxt in _successors(tb, *key):
+                if nxt in counts:
+                    counts[nxt] += c
                     continue
-                if el.window and not (mask & ((1 << min(el.window, pos - 1)) - 1)):
-                    continue
-                span = el.hi - el.lo + 1
-                nmask = ((mask << span) | ((1 << span) - 1)) & tb.full
-                out.append((el.blk, reach(el.hi + 1, nmask, el.subpath)))
-            succs[key] = out
+                if listed == MAX_SCAN_STATES:
+                    raise BudgetExceeded(f"the family scan over {tb.N} edges reaches more than "
+                                         f"{MAX_SCAN_STATES} states by edge {nxt[0]}")
+                listed += 1
+                counts[nxt] = c
+                layers[nxt[0]].append(nxt)
+    return tb, layers, counts.popitem()[1]
 
-    values = {key: leaf for key in layers[tb.N + 1]}
-    for pos in range(tb.N, 0, -1):
+
+def _scan(path: DyckPath, start, new, add):
+    """The sum over all families, folded from ``start`` before the first
+    edge: ``add(total, blk, value)`` returns ``total`` (``new()`` at first)
+    plus the prefix value ``value`` followed by the block ``blk``.  All
+    states are listed, and refused past ``MAX_SCAN_STATES``, before any
+    ``add``; each value is dropped once pushed into its successors."""
+    tb, layers, _ = _list_states(path)
+    values = {layers[1][0]: start}
+    for pos in range(1, tb.N + 1):
         for key in layers[pos]:
-            total = new()
-            for blk, sub in succs.pop(key):
-                total = add(total, blk, values[sub])
-                readers[sub] -= 1
-                if not readers[sub]:
-                    del values[sub]
-            values[key] = total
-    return values[root]
+            value = values.pop(key)
+            for blk, nxt in _successors(tb, *key):
+                values[nxt] = add(values.get(nxt) or new(), blk, value)
+    return values.popitem()[1]
 
 
 def count_families(r: int, n: int) -> int:
     """Number of compatible families of the (r, n) path."""
-    return _scan(build_dyck(r, n), 1, int, lambda total, blk, sub: total + sub)
+    return _list_states(build_dyck(r, n))[2]
+
+
+def _push(total: dict, blk, value: dict, g: int, bits: int) -> dict:
+    """total += value * q^(e/2) X1^A X2^B, blk = (A, B, e), on entries (value,
+    lo) at stride g and base 2^bits: a key (a, b) moves to (a + A, b + B) and
+    its lo by e - 2*A*b.  Raises ``_OffStride`` on a gap off the stride."""
+    A, B, e = blk
+    for (a, b), (v, lo) in value.items():
+        key = (a + A, b + B)
+        lo += e - 2 * A * b
+        cur = total.get(key)
+        if cur is None:
+            total[key] = (v, lo)
+            continue
+        w, low = cur
+        gap = lo - low
+        if gap % g:
+            raise _OffStride(gap)
+        if gap < 0:
+            total[key] = ((w << (-gap // g * bits)) + v, lo)
+        else:
+            total[key] = (w + (v << (gap // g * bits)), low)
+    return total
 
 
 @lru_cache(maxsize=16)
 def _expand(r: int, n: int, count: int, g: int) -> TorusElement:
-    """xvar_enum(r, n) without the budget: the packed scan (see above) at
-    the digit width count = count_families(r, n) proves and stride g.  A sum
-    that lands off the stride reruns it at the gcd of the stride and gap."""
+    """xvar_enum(r, n) without the budget: q X1 P X1^-1 for the prefix sum P
+    (see above) at stride g and the digit width count = count_families(r, n)
+    proves.  A sum off the stride reruns the scan at the gcd of g and the gap."""
     width = _digit_width(count)
     bits = 8 * width
-
-    def add(total, blk, sub):
-        # qlaurent._twisted with the monomial q^(e1/2) X1^A1 X2^B1 written out
-        A1, B1, e1 = blk
-        for (a, b), (v, lo, hi) in sub.items():
-            sh = e1 - 2 * B1 * a
-            _add_aligned(total, (A1 + a, B1 + b), v, lo + sh, hi + sh, g, bits)
-        return total
-
     while True:
         try:
-            root = _scan(build_dyck(r, n), {(-1, 0): [1, 0, 0]}, dict, add)
+            sum_p = _scan(build_dyck(r, n), {(0, 0): (1, 0)}, dict,
+                          lambda total, blk, value: _push(total, blk, value, g, bits))
             break
         except _OffStride as off:
             g = math.gcd(g, off.args[0])
-    # the scan ends on X1^-1; multiplying by q X1 on the left adds 1 to the
-    # X1-degree and 2 to every doubled exponent
-    return TorusElement._raw({(a + 1, b): QLaurent._raw(_decode(entry, width, g, 2))
-                              for (a, b), entry in root.items()})
+    # q X1 (X1^a X2^b) X1^-1 = q^(b+1) X1^a X2^b adds 2b + 2 to every doubled
+    # exponent; no digit is negative, so the top one ends the value
+    return TorusElement._raw({
+        (a, b): QLaurent._raw(_unpack(v, lo + 2 * b + 2, -(-v.bit_length() // bits), width, g))
+        for (a, b), (v, lo) in sum_p.items()
+    })
 
 
 def check_budget(count: int, budget: int | None) -> None:

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +29,7 @@ from qkron.families import (
     path_elements,
     xvar_enum,
 )
-from qkron.qlaurent import QLaurent, _add_aligned, _OffStride, c_sequence
+from qkron.qlaurent import QLaurent, _OffStride, c_sequence
 from qkron.torus import TorusElement
 
 
@@ -154,15 +156,16 @@ def test_off_stride_sum_reruns_the_scan(monkeypatch, r, n, g):
     # a start stride that the scan sums do not respect must restart the scan
     # at a finer one and still give the literal family sum
     raised = []
+    push = families._push
 
     def spy(*args):
         try:
-            return _add_aligned(*args)
+            return push(*args)
         except _OffStride as off:
             raised.append(off)
             raise
 
-    monkeypatch.setattr(families, "_add_aligned", spy)
+    monkeypatch.setattr(families, "_push", spy)
     got = families._expand.__wrapped__(r, n, count_families(r, n), g)  # uncached
     assert raised
     total = TorusElement.zero()
@@ -196,6 +199,30 @@ def test_scan_state_cap_refuses_before_any_value(r, n):
         count_families(r, n)
 
 
+def test_scan_folds_any_sum_in_prefix_order():
+    # the value pass with int values adds up the same prefix counts as the
+    # listing pass that gives count_families
+    for r, n in [(2, 6), (3, 5), (4, 5)]:
+        got = families._scan(build_dyck(r, n), 1, int, lambda total, blk, value: total + value)
+        assert got == count_families(r, n)
+
+
+def _bench_worker():
+    path = Path(__file__).parents[1] / "bench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+@pytest.mark.parametrize("r, n", [(2, 6), (3, 5), (4, 6), (3, 7)])
+def test_xvar_enum_matches_bench_digests(r, n):
+    # the expansion benchmark checks these digests of xvar_enum(r, n)
+    refs = json.loads((Path(__file__).parents[1] / "bench" / "references.json").read_text())
+    got = _bench_worker().digest_torus(xvar_enum(r, n, budget=None))
+    assert got == refs[f"xvar_enum {r} {n}"]
+
+
 def test_scan_memo_stays_small():
     # the packed memo holds one integer per torus key; the dict-of-dicts
     # memo it replaced peaked at 13.8 MB at (6, 5)
@@ -226,7 +253,8 @@ def test_scan_memo_stays_small():
 
 @pytest.mark.parametrize("r, n", [pytest.param(5, 6, marks=_SLOW)])
 def test_scan_peak_rss(r, n):
-    # a scan that kept every state until the root peaked at 1.27 GB at (5, 6).
+    # a scan that kept every state until the root peaked at 1.27 GB at (5, 6),
+    # the suffix-order scan at 357 MB and this prefix-order one at 234 MB.
     # The child's ru_maxrss would include the peak of this process, which it
     # inherits across fork and exec, so the child reads its own VmHWM.
     code = (
@@ -238,7 +266,7 @@ def test_scan_peak_rss(r, n):
     env = {**os.environ, "PYTHONPATH": str(Path(families.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=600)
-    assert int(out.stdout) <= 635 * 1024  # kilobytes
+    assert int(out.stdout) <= 292 * 1024  # kilobytes
 
 
 def _walked_blk(path, lo, is_red, hi):
