@@ -22,7 +22,6 @@ test-suite on every desk-size instance.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -214,17 +213,19 @@ def enumerate_families(path: DyckPath):
 # the scan position, on which of the last few edges are covered (for the
 # admissibility windows of greens that start soon), and on whether a subpath
 # ends flush at the previous edge (for the shared-endpoint rule).  Folding
-# the prefixes over those states is exactly the family sum: ``_scan`` lists
-# the reachable states first, then pushes each state's value forward into
-# its successors, in the same order, and drops it.
+# the prefixes over those states is exactly the family sum: ``_list_states``
+# lists the reachable states first, then ``_expand`` runs one value pass
+# that pushes each state's value forward into its successors, in the same
+# order, and drops it.
 #
 # A state's value maps each torus key (A, B) to one packed entry (value, lo):
-# the coefficient's digits on the doubled exponents lo, lo + g, ..., as one
-# big integer.  Every digit counts prefixes that reach the state, and the
-# free edges always extend a prefix to a family, distinct prefixes to
-# distinct families, so every digit lies in [0, count_families]: a digit
-# width taken from that count makes the decode exact, and as no digit
-# cancels, lo stays the lowest exponent and the value ends at its top digit.
+# the coefficient's digits on the doubled exponents lo, lo + 2r, ..., as one
+# big integer (``_expand`` proves that stride).  Every digit counts prefixes
+# that reach the state, and the free edges always extend a prefix to a
+# family, distinct prefixes to distinct families, so every digit lies in
+# [0, count_families]: a digit width taken from that count makes the decode
+# exact, and as no digit cancels, lo stays the lowest exponent and the value
+# ends at its top digit.
 
 
 class _DpEl(namedtuple("_DpEl", "lo hi subpath bluegreen window blk")):
@@ -333,31 +334,16 @@ def _list_states(path: DyckPath):
     return tb, layers, counts.popitem()[1]
 
 
-def _scan(path: DyckPath, start, new, add):
-    """The sum over all families, folded from ``start`` before the first
-    edge: ``add(total, blk, value)`` returns ``total`` (``new()`` at first)
-    plus the prefix value ``value`` followed by the block ``blk``.  All
-    states are listed, and refused past ``MAX_SCAN_STATES``, before any
-    ``add``; each value is dropped once pushed into its successors."""
-    tb, layers, _ = _list_states(path)
-    values = {layers[1][0]: start}
-    for pos in range(1, tb.N + 1):
-        for key in layers[pos]:
-            value = values.pop(key)
-            for blk, nxt in _successors(tb, *key):
-                values[nxt] = add(values.get(nxt) or new(), blk, value)
-    return values.popitem()[1]
-
-
 def count_families(r: int, n: int) -> int:
     """Number of compatible families of the (r, n) path."""
     return _list_states(build_dyck(r, n))[2]
 
 
-def _push(total: dict, blk, value: dict, g: int, bits: int) -> dict:
+def _push(total: dict, blk, value: dict, g: int, bits: int) -> None:
     """total += value * q^(e/2) X1^A X2^B, blk = (A, B, e), on entries (value,
     lo) at stride g and base 2^bits: a key (a, b) moves to (a + A, b + B) and
-    its lo by e - 2*A*b.  Raises ``_OffStride`` on a gap off the stride."""
+    its lo by e - 2*A*b.  A gap off the stride raises ``_OffStride``, an
+    assertion, as ``_expand`` proves its stride."""
     A, B, e = blk
     for (a, b), (v, lo) in value.items():
         key = (a + A, b + B)
@@ -374,28 +360,41 @@ def _push(total: dict, blk, value: dict, g: int, bits: int) -> dict:
             total[key] = ((w << (-gap // g * bits)) + v, lo)
         else:
             total[key] = (w + (v << (gap // g * bits)), low)
-    return total
 
 
 @lru_cache(maxsize=16)
-def _expand(r: int, n: int, count: int, g: int) -> TorusElement:
+def _expand(r: int, n: int) -> TorusElement:
     """xvar_enum(r, n) without the budget: q X1 P X1^-1 for the prefix sum P
-    (see above) at stride g and the digit width count = count_families(r, n)
-    proves.  A sum off the stride reruns the scan at the gcd of g and the gap."""
-    width = _digit_width(count)
+    (see above), in one value pass at stride g = 2r and the digit width the
+    family count proves.
+
+    The stride is proven, so ``_push`` never meets a gap off it:
+    - Take two prefixes that reach one normalized state at one key (a, b).
+    - The state fixes the possible completions, and the free edges always
+      give one.  So both prefixes complete by the same suffix to families at
+      one key of q^(1/2) X_n.
+    - Their doubled exponents differ by exactly what the two prefix
+      exponents differ by.
+    - Each family adds one monomial +q^(k/2) X1^A X2^B, so nothing cancels,
+      and every coefficient of X_n is q^(c/2) P_e(q^r): the family exponents
+      at one key all lie in c + 1 + 2r Z.
+    - So every ``_push`` gap is a multiple of 2r.  Within a key, lo is always
+      the exponent of a real prefix, because no digit is ever negative."""
+    tb, layers, count = _list_states(build_dyck(r, n))
+    g, width = 2 * r, _digit_width(count)
     bits = 8 * width
-    while True:
-        try:
-            sum_p = _scan(build_dyck(r, n), {(0, 0): (1, 0)}, dict,
-                          lambda total, blk, value: _push(total, blk, value, g, bits))
-            break
-        except _OffStride as off:
-            g = math.gcd(g, off.args[0])
+    values = {layers[1][0]: {(0, 0): (1, 0)}}
+    for pos in range(1, tb.N + 1):
+        for key in layers[pos]:
+            value = values.pop(key)
+            for blk, nxt in _successors(tb, *key):
+                _push(values.setdefault(nxt, {}), blk, value, g, bits)
+    del value  # the last prefix value is nearly as large as the sum: free it before the decode
     # q X1 (X1^a X2^b) X1^-1 = q^(b+1) X1^a X2^b adds 2b + 2 to every doubled
     # exponent; no digit is negative, so the top one ends the value
     return TorusElement._raw({
         (a, b): QLaurent._raw(_unpack(v, lo + 2 * b + 2, -(-v.bit_length() // bits), width, g))
-        for (a, b), (v, lo) in sum_p.items()
+        for (a, b), (v, lo) in values.popitem()[1].items()
     })
 
 
@@ -420,4 +419,4 @@ def xvar_enum(r: int, n: int, budget: int | None = DEFAULT_FAMILY_BUDGET) -> Tor
         raise InvalidParameter(f"family expansion needs n >= 4, got {n}")
     count = count_families(r, n)
     check_budget(count, budget)
-    return _expand(r, n, count, 2 * r)
+    return _expand(r, n)

@@ -31,7 +31,7 @@ from .errors import BudgetExceeded, ConstructionFailed, InvalidParameter
 from .qlaurent import c_sequence, q_binomial
 
 ALLOWED_PRIMES = (2, 3, 5)
-DEFAULT_SUBSPACE_CAP = 2_000_000
+MAX_SUBSPACES = 2_000_000  # the largest Grassmannian a count enumerates
 SEARCH_ATTEMPTS = 1000  # random candidates tried per module before giving up
 
 
@@ -210,13 +210,13 @@ def build_module(p: int, r: int, n: int, seed: int = 0) -> FFModule:
 # -- counting -------------------------------------------------------------------
 
 
-def _check_cap(mod: FFModule, u: int, cap: int) -> None:
-    if _num_subspaces(mod.p, mod.d2, u) > cap:
-        raise BudgetExceeded(f"Gr_{u}(F_{mod.p}^{mod.d2}) exceeds the cap {cap}")
+def _check_cap(mod: FFModule, u: int) -> None:
+    if _num_subspaces(mod.p, mod.d2, u) > MAX_SUBSPACES:
+        raise BudgetExceeded(f"Gr_{u}(F_{mod.p}^{mod.d2}) exceeds the cap {MAX_SUBSPACES}")
 
 
 # The histograms are keyed on (module, dimension) only: callers check the cap
-# before asking, so a refused call caches nothing and a second cap reuses them.
+# before asking, so a refused call caches nothing and a raised cap reuses them.
 # A criterion-5 pass over the fourteen FF_CONFIGS holds about 170 of them.
 @lru_cache(maxsize=1024)
 def _preimage_dim_hist(mod: FFModule, u: int):
@@ -230,7 +230,7 @@ def _preimage_dim_hist(mod: FFModule, u: int):
         return {d1: 1}
     if u == 0:  # W = F_p^{d2}: every row of every phi_k
         return {d1 - _rank([_code(row, p) for phi in mod.phis for row in phi], p): 1}
-    # 0 < u < d2: at least p^(d2-1) subspaces, which bounds the tables by p * cap
+    # 0 < u < d2: at least p^(d2-1) subspaces, which bounds the tables by p * MAX_SUBSPACES
     tables = [_row_table(phi, p) for phi in mod.phis]
     return dict(Counter(d1 - _rank([tbl[w] for w in basis for tbl in tables], p)
                         for basis in _iter_bases(p, d2, d2 - u)))
@@ -270,32 +270,28 @@ def _image_dim_hist(mod: FFModule, s: int):
         sum_{w <= u} h[w] [d2 - w choose u - w]_p = count_gr(s, u),
 
     a unitriangular system in the histogram h, solved by forward
-    substitution in exact integers.
+    substitution in exact integers.  Every [d2 choose u]_p is at most
+    [d2 choose d2 // 2]_p, which ``count_strata`` checks against the cap.
     """
     d2, p = mod.d2, mod.p
     h: list = []
     for u in range(d2 + 1):
-        pairs = _count_gr(mod, s, u)
+        pairs = count_gr(mod, s, u)
         h.append(pairs - sum(h[w] * _num_subspaces(p, d2 - w, u - w) for w in range(u)))
     return {w: c for w, c in enumerate(h) if c}
 
 
-def count_gr(mod: FFModule, e1: int, e2: int, cap: int = DEFAULT_SUBSPACE_CAP) -> int:
+def count_gr(mod: FFModule, e1: int, e2: int) -> int:
     """Number of subrepresentations with dimension vector (e1, e2).
 
     Only the second-vertex side is enumerated: for each U2 in
     Gr_{e2}(F_p^{d2}) the subspaces at the first vertex inside the preimage
-    intersection, of dimension w, number [w choose e1]_p.  ``cap`` bounds
-    |Gr_{e2}(F_p^{d2})|.
+    intersection, of dimension w, number [w choose e1]_p.  Refuses when
+    |Gr_{e2}(F_p^{d2})| exceeds ``MAX_SUBSPACES``.
     """
     if not 0 <= e1 <= mod.d1 or not 0 <= e2 <= mod.d2:
         raise InvalidParameter(f"({e1}, {e2}) outside the dimension box")
-    _check_cap(mod, e2, cap)
-    return _count_gr(mod, e1, e2)
-
-
-def _count_gr(mod: FFModule, e1: int, e2: int) -> int:
-    """``count_gr`` once the cap is checked."""
+    _check_cap(mod, e2)
     hist = _preimage_dim_hist(mod, e2)
     return sum(cnt * _num_subspaces(mod.p, w, e1) for w, cnt in hist.items())
 
@@ -303,9 +299,7 @@ def _count_gr(mod: FFModule, e1: int, e2: int) -> int:
 SIDES = ("z", "zbar", "zp", "zpbar")
 
 
-def count_strata(
-    mod: FFModule, side: str, p_param: int, s: int, cap: int = DEFAULT_SUBSPACE_CAP
-) -> int:
+def count_strata(mod: FFModule, side: str, p_param: int, s: int) -> int:
     """Point count of one stratum.
 
     ``z``:     U in Gr_s(M_1) with dim(sum phi_k(U)) = d2 - p_param
@@ -315,8 +309,8 @@ def count_strata(
 
     The preimage sides enumerate Gr_{d2-s}(M_2).  The image sides are solved
     from the counts ``count_gr(s, u)``, u = 0..d2 (see ``_image_dim_hist``),
-    which enumerate every Gr_u(M_2); ``cap`` bounds each enumerated
-    Grassmannian.
+    which enumerate every Gr_u(M_2); each enumerated Grassmannian is refused
+    past ``MAX_SUBSPACES``.
     """
     if side not in SIDES:
         raise InvalidParameter(f"side must be one of {SIDES}, got {side!r}")
@@ -325,14 +319,14 @@ def count_strata(
     if side in ("z", "zbar"):
         if s > mod.d1:
             raise InvalidParameter(f"s must lie in 0..{mod.d1} on this side")
-        _check_cap(mod, mod.d2 // 2, cap)  # the largest Gr_u(F_p^{d2}) it enumerates
+        _check_cap(mod, mod.d2 // 2)  # the largest Gr_u(F_p^{d2}) it enumerates
         hist = _image_dim_hist(mod, s)
         if side == "z":
             return hist.get(mod.d2 - p_param, 0)
         return sum(c for w, c in hist.items() if w <= mod.d2 - p_param)
     if s > mod.d2:
         raise InvalidParameter(f"s must lie in 0..{mod.d2} on this side")
-    _check_cap(mod, mod.d2 - s, cap)
+    _check_cap(mod, mod.d2 - s)
     hist = _preimage_dim_hist(mod, mod.d2 - s)
     if side == "zp":
         return hist.get(p_param, 0)

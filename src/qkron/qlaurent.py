@@ -149,9 +149,10 @@ def _unpack(val, lo: int, length: int, width: int, step: int = 1) -> dict:
 
 
 class _OffStride(AssertionError):
-    """A packed sum landed off its stride; args[0] is the gap.  A caller that
-    guessed the stride reruns at gcd(stride, gap); where the stride is
-    proven, the exception fails as the assertion it is."""
+    """A packed sum landed off its stride; args[0] is the gap.  ``left_divide``
+    guesses its stride and reruns at gcd(stride, gap); ``_mul_terms`` and the
+    family scan prove theirs, so there the exception fails as the assertion
+    it is."""
 
 
 def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) -> None:
@@ -181,11 +182,10 @@ def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) ->
         cur[1] += zeros * step
 
 
-def _decode(entry, width: int, g: int, shift: int = 0) -> dict:
-    """The coefficient of a packed entry [value, lo, hi] at stride g, with
-    every exponent moved by shift."""
+def _decode(entry, width: int, g: int) -> dict:
+    """The coefficient of a packed entry [value, lo, hi] at stride g."""
     val, lo, hi = entry
-    return _unpack(val, lo + shift, (hi - lo) // g + 1, width, g)
+    return _unpack(val, lo, (hi - lo) // g + 1, width, g)
 
 
 # -- the normal-form product ---------------------------------------------------

@@ -151,28 +151,17 @@ def test_budget_is_checked_outside_the_cache():
         xvar_enum(2, 6, budget=3)
 
 
-@pytest.mark.parametrize("r, n, g", [(2, 6, 5), (3, 5, 9)])
-def test_off_stride_sum_reruns_the_scan(monkeypatch, r, n, g):
-    # a start stride that the scan sums do not respect must restart the scan
-    # at a finer one and still give the literal family sum
-    raised = []
-    push = families._push
-
-    def spy(*args):
-        try:
-            return push(*args)
-        except _OffStride as off:
-            raised.append(off)
-            raise
-
-    monkeypatch.setattr(families, "_push", spy)
-    got = families._expand.__wrapped__(r, n, count_families(r, n), g)  # uncached
-    assert raised
-    total = TorusElement.zero()
-    path = build_dyck(r, n)
-    for fam in enumerate_families(path):
-        total = total + family_term(path, fam)
-    assert got == total
+def test_push_refuses_a_gap_off_the_stride():
+    # the expansion proves its stride 2r, so a gap off it fails as an
+    # assertion; on the stride the entries are shifted by whole digits
+    total = {(0, 1): (1, 0)}
+    families._push(total, (0, 0, 4), {(0, 1): (2, 0)}, 2, 8)
+    assert total == {(0, 1): (1 + (2 << 16), 0)}
+    families._push(total, (0, 0, -2), {(0, 1): (3, 0)}, 2, 8)
+    assert total == {(0, 1): (3 + (1 << 8) + (2 << 24), -2)}
+    with pytest.raises(_OffStride) as off:
+        families._push(total, (0, 0, 3), {(0, 1): (1, 0)}, 2, 8)
+    assert isinstance(off.value, AssertionError) and off.value.args == (5,)
 
 
 _SLOW = [pytest.mark.slow, pytest.mark.skipif(
@@ -188,23 +177,16 @@ def test_scan_past_a_thousand_edges_counts(r, n, digits):
 
 
 @pytest.mark.parametrize("r, n", [pytest.param(6, 7, marks=_SLOW)])
-def test_scan_state_cap_refuses_before_any_value(r, n):
+def test_scan_state_cap_refuses_before_any_value(monkeypatch, r, n):
     # the forward pass of (6, 7) passes MAX_SCAN_STATES states about a sixth
-    # of the way along its 1,189 edges, before any value is added
-    added = []
+    # of the way along its 1,189 edges, before any value is pushed
+    pushed = []
+    monkeypatch.setattr(families, "_push", lambda *args: pushed.append(args))
     with pytest.raises(BudgetExceeded, match="states"):
-        families._scan(build_dyck(r, n), 1, int, lambda *args: added.append(args))
-    assert added == []
+        families._expand.__wrapped__(r, n)  # uncached
+    assert pushed == []
     with pytest.raises(BudgetExceeded):
         count_families(r, n)
-
-
-def test_scan_folds_any_sum_in_prefix_order():
-    # the value pass with int values adds up the same prefix counts as the
-    # listing pass that gives count_families
-    for r, n in [(2, 6), (3, 5), (4, 5)]:
-        got = families._scan(build_dyck(r, n), 1, int, lambda total, blk, value: total + value)
-        assert got == count_families(r, n)
 
 
 def _bench_worker():

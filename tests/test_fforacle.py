@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qkron import fforacle
 from qkron.cluster import gr_table
 from qkron.errors import BudgetExceeded, InvalidParameter
 from qkron.fforacle import (
@@ -79,26 +80,32 @@ def test_count_gr_examples():
         count_gr(mod, 5, 0)
 
 
-def test_count_gr_budget():
+def test_count_gr_budget(monkeypatch):
     # d = (8, 3): the cap bounds the enumerated Gr_2(F_2^3), 7 subspaces
     mod = build_module(2, 3, 5)
+    monkeypatch.setattr(fforacle, "MAX_SUBSPACES", 6)
     with pytest.raises(BudgetExceeded):
-        count_gr(mod, 4, 2, cap=6)
+        count_gr(mod, 4, 2)
     # the image side needs every Gr_u(F_2^3) and refuses before enumerating any
     before = _preimage_dim_hist.cache_info()
     for side in ("z", "zbar"):
         with pytest.raises(BudgetExceeded):
-            count_strata(mod, side, 0, 4, cap=6)
+            count_strata(mod, side, 0, 4)
     assert _preimage_dim_hist.cache_info() == before
 
 
-def test_histograms_are_shared_across_caps():
+def test_histograms_are_shared_across_caps(monkeypatch):
     mod = build_module(2, 3, 5)
-    counts = [count_gr(mod, 4, 2, cap=cap) for cap in (7, 8)]
-    zbars = [count_strata(mod, "zbar", 1, 4, cap=cap) for cap in (7, 8)]
+
+    def at_cap(cap, count, *args):
+        monkeypatch.setattr(fforacle, "MAX_SUBSPACES", cap)
+        return count(mod, *args)
+
+    counts = [at_cap(cap, count_gr, 4, 2) for cap in (7, 8)]
+    zbars = [at_cap(cap, count_strata, "zbar", 1, 4) for cap in (7, 8)]
     before = (_preimage_dim_hist.cache_info(), _image_dim_hist.cache_info())
-    assert count_gr(mod, 4, 2, cap=10**6) == counts[0] == counts[1]
-    assert count_strata(mod, "zbar", 1, 4, cap=10**6) == zbars[0] == zbars[1]
+    assert at_cap(10**6, count_gr, 4, 2) == counts[0] == counts[1]
+    assert at_cap(10**6, count_strata, "zbar", 1, 4) == zbars[0] == zbars[1]
     after = (_preimage_dim_hist.cache_info(), _image_dim_hist.cache_info())
     assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1]
     assert [a.misses for a in after] == [b.misses for b in before]
