@@ -164,6 +164,32 @@ def test_push_refuses_a_gap_off_the_stride():
     assert isinstance(off.value, AssertionError) and off.value.args == (5,)
 
 
+@pytest.mark.parametrize("r, n, g", [(2, 6, 5), (3, 5, 9)])
+def test_off_stride_sum_reruns_the_scan(monkeypatch, r, n, g):
+    # rerun every push of the scan on a copy of its total at a stride g that
+    # the scan sums do not respect: _push refuses some of them, while the one
+    # pass at the proven stride 2r refuses none and gives the literal family sum
+    raised = []
+    push = families._push
+
+    def spy(total, blk, value, stride, bits):
+        assert stride == 2 * r
+        try:
+            push(dict(total), blk, value, g, bits)
+        except _OffStride as off:
+            raised.append(off)
+        return push(total, blk, value, stride, bits)
+
+    monkeypatch.setattr(families, "_push", spy)
+    got = families._expand.__wrapped__(r, n)  # uncached
+    assert raised
+    total = TorusElement.zero()
+    path = build_dyck(r, n)
+    for fam in enumerate_families(path):
+        total = total + family_term(path, fam)
+    assert got == total
+
+
 _SLOW = [pytest.mark.slow, pytest.mark.skipif(
     os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable")]
 
