@@ -39,6 +39,7 @@ def _dyck(args):
 
 def _families(args):
     r, n = _r_and_n(args)
+    families.check_budget(0, args.budget)  # refuse a negative budget without --list too
     count = families.count_families(r, n)
     obj = {"r": r, "n": n, "count": count}
     lines = [f"families: {count}"]
@@ -52,6 +53,7 @@ def _families(args):
 
 def _xvar(args):
     r, n = _r_and_n(args)
+    families.check_budget(0, args.budget)  # refuse a negative budget on either method
     if args.method == "enum":
         el = families.xvar_enum(r, n, args.budget)
     else:

@@ -2,6 +2,8 @@
 
 Used both by the command-line ``verify`` subcommand and by the acceptance
 tests.  Suites are deterministic: randomized ones draw from a fixed seed.
+Each suite yields ``(label, ok)`` or ``(label, ok, detail)`` per check;
+``run_suite`` names the checks after the suite and builds the ``Check`` records.
 """
 
 from __future__ import annotations
@@ -34,15 +36,10 @@ class Check(Record):
         self.detail = detail
 
 
-def _check(suite, label, ok, detail=""):
-    return Check(suite, label, bool(ok), detail)
-
-
 # -- exact ring suites -------------------------------------------------------
 
 
 def suite_cn():
-    checks = []
     ok = True
     for r in range(2, 11):
         for n in range(1, 13):
@@ -53,11 +50,10 @@ def suite_cn():
             )
             if c_sequence(r, n) != closed:
                 ok = False
-    checks.append(_check("cn", "closed form, r in 2..10, n in 1..12 (108 cases)", ok))
-    checks.append(_check("cn", "c_5(2) = 4", c_sequence(2, 5) == 4))
-    checks.append(_check("cn", "c_4(3) = 8", c_sequence(3, 4) == 8))
-    checks.append(_check("cn", "c_5(10) = 980", c_sequence(10, 5) == 980))
-    return checks
+    yield "closed form, r in 2..10, n in 1..12 (108 cases)", ok
+    yield "c_5(2) = 4", c_sequence(2, 5) == 4
+    yield "c_4(3) = 8", c_sequence(3, 4) == 8
+    yield "c_5(10) = 980", c_sequence(10, 5) == 980
 
 
 def suite_qpascal():
@@ -77,11 +73,9 @@ def suite_qpascal():
         for m in range(0, 31)
         for n in range(0, m + 1)
     )
-    return [
-        _check("qpascal", "q-Pascal recurrence, 1 <= n <= m <= 30 (465 cases)", ok_pascal),
-        _check("qpascal", "symmetry, 0 <= n <= m <= 30 (496 cases)", ok_sym),
-        _check("qpascal", "nonnegative coefficients (496 cases)", ok_pos),
-    ]
+    yield "q-Pascal recurrence, 1 <= n <= m <= 30 (465 cases)", ok_pascal
+    yield "symmetry, 0 <= n <= m <= 30 (496 cases)", ok_sym
+    yield "nonnegative coefficients (496 cases)", ok_pos
 
 
 def suite_alternating():
@@ -101,10 +95,8 @@ def suite_alternating():
     for i in range(0, 2):
         t = q_binomial(2, i).shift2(2 * math.comb(i, 2))
         spot = spot + (t.scale(-1) if i % 2 else t)
-    return [
-        _check("alternating", "signed binomial tail sum, 0 <= p <= e1 <= 20 (231 cases)", ok),
-        _check("alternating", "spot value e1=2, p=1 equals -q", spot == QLaurent.q_power(2, -1)),
-    ]
+    yield "signed binomial tail sum, 0 <= p <= e1 <= 20 (231 cases)", ok
+    yield "spot value e1=2, p=1 equals -q", spot == QLaurent.q_power(2, -1)
 
 
 def suite_matrix():
@@ -122,13 +114,10 @@ def suite_matrix():
                     acc = acc + inv[i][k] * fwd[k][j]
             if acc != (ONE if i == j else QLaurent.zero()):
                 ok = False
-    return [
-        _check(
-            "matrix",
-            f"triangular transform times binomial matrix is identity ({size * (size + 1) // 2} entries)",
-            ok,
-        )
-    ]
+    yield (
+        f"triangular transform times binomial matrix is identity ({size * (size + 1) // 2} entries)",
+        ok,
+    )
 
 
 # -- torus suites ---------------------------------------------------------------
@@ -189,12 +178,10 @@ def suite_torus():
         for b in range(-2, 3)
         for i in range(0, 5)
     )
-    return [
-        _check("torus", f"associativity on random triples ({cases} cases)", ok_assoc),
-        _check("torus", f"left-division roundtrip ({cases} cases)", ok_round),
-        _check("torus", "two-letter commutation under specialization (121 cases)", ok_words),
-        _check("torus", "power closed form under specialization (125 cases)", ok_pow),
-    ]
+    yield f"associativity on random triples ({cases} cases)", ok_assoc
+    yield f"left-division roundtrip ({cases} cases)", ok_round
+    yield "two-letter commutation under specialization (121 cases)", ok_words
+    yield "power closed form under specialization (125 cases)", ok_pow
 
 
 # -- expansion vs recursion -------------------------------------------------------
@@ -204,23 +191,17 @@ def suite_bridge(r: int | None = None, n: int | None = None):
     if (r is None) != (n is None):
         raise InvalidParameter("--r and --n go together: give both or neither")
     pairs = BRIDGE_PAIRS if r is None else ((r, n),)
-    checks = []
     for rr, nn in pairs:
         lhs = families.xvar_enum(rr, nn)
         rhs = cluster.xvar_recursive(rr, nn).scale2(1)
-        checks.append(
-            _check(
-                "bridge",
-                f"family expansion equals q^(1/2) * recursion at (r={rr}, n={nn})",
-                lhs == rhs,
-                f"{lhs.num_terms()} torus terms",
-            )
+        yield (
+            f"family expansion equals q^(1/2) * recursion at (r={rr}, n={nn})",
+            lhs == rhs,
+            f"{lhs.num_terms()} torus terms",
         )
-    return checks
 
 
 def suite_commutation():
-    checks = []
     for r, nmax in XVAR_GRID:
         ok = True
         for n in range(1, nmax):
@@ -228,24 +209,17 @@ def suite_commutation():
             b = cluster.xvar_recursive(r, n + 1)
             if a * b != (b * a).scale2(2):
                 ok = False
-        checks.append(
-            _check("commutation", f"X_n X_(n+1) = q X_(n+1) X_n for r={r}, n < {nmax}", ok)
-        )
-    return checks
+        yield f"X_n X_(n+1) = q X_(n+1) X_n for r={r}, n < {nmax}", ok
 
 
 def suite_positivity():
-    checks = []
     for r, nmax in XVAR_GRID:
         ok = True
         for n in range(1, nmax + 1):
             xn = cluster.xvar_recursive(r, n)
             if any(c.has_negative_coeff() for _, c in xn.items()):
                 ok = False
-        checks.append(
-            _check("positivity", f"nonnegative coefficients of X_1..X_{nmax} for r={r}", ok)
-        )
-    return checks
+        yield f"nonnegative coefficients of X_1..X_{nmax} for r={r}", ok
 
 
 # -- combinatorial suites ------------------------------------------------------------
@@ -271,7 +245,6 @@ def _expected_end_color(r: int, l: int):
 
 
 def suite_colors():
-    checks = []
     for r in (3, 4, 5):
         path = build_dyck(r, 6)
         top = r * r - 1
@@ -281,14 +254,10 @@ def suite_colors():
             got, _rng = classify(path, l, top)
             if got != expect:
                 ok = False
-        checks.append(
-            _check("colors", f"end-vertex color table for r={r} ({top - 1} cases)", ok)
-        )
-    return checks
+        yield f"end-vertex color table for r={r} ({top - 1} cases)", ok
 
 
 def suite_shadow():
-    checks = []
     for r, n in ((2, 5), (3, 5)):
         path = build_dyck(r, n)
         big = c_sequence(r, n - 1)
@@ -302,21 +271,13 @@ def suite_shadow():
             deg1, deg2 = families.family_degrees(fam)
             if a != r * deg1 - big or b != r * (big - deg2) - small:
                 ok = False
-        checks.append(
-            _check(
-                "shadow",
-                f"per-family commutative exponents at (r={r}, n={n}) ({count} families)",
-                ok,
-            )
-        )
-    return checks
+        yield f"per-family commutative exponents at (r={r}, n={n}) ({count} families)", ok
 
 
 # -- closed forms and oracle ------------------------------------------------------------
 
 
 def suite_closedform():
-    checks = []
     for r in (2, 3):
         table = cluster.gr_table(r, 6)
         ok_gr = all(
@@ -327,17 +288,11 @@ def suite_closedform():
         ok_zbar = all(
             strata.closed_zbar_m6(r, p) == st.zbar(p) for p in range(0, table.d1 + 1)
         )
-        checks.append(
-            _check("closedform", f"closed Grassmannian column vs extraction, r={r}", ok_gr)
-        )
-        checks.append(
-            _check("closedform", f"closed strata vs triangular transform, r={r}", ok_zbar)
-        )
-    return checks
+        yield f"closed Grassmannian column vs extraction, r={r}", ok_gr
+        yield f"closed strata vs triangular transform, r={r}", ok_zbar
 
 
 def suite_ffcount():
-    checks = []
     for r, n, p in FF_CONFIGS:
         mod = fforacle.build_module(p, r, n)
         table = cluster.gr_table(r, n)
@@ -349,14 +304,10 @@ def suite_ffcount():
                 expected = int(table.entry(e1, e2).evaluate(p))
                 if fforacle.count_gr(mod, e1, e2) != expected:
                     ok = False
-        checks.append(
-            _check("ffcount", f"point counts vs polynomials, (r={r}, n={n}, p={p}), {cases} cases", ok)
-        )
-    return checks
+        yield f"point counts vs polynomials, (r={r}, n={n}, p={p}), {cases} cases", ok
 
 
 def suite_ffstrata():
-    checks = []
     for r, n, p in FF_CONFIGS:
         mod = fforacle.build_module(p, r, n)
         table = cluster.gr_table(r, n)
@@ -392,13 +343,8 @@ def suite_ffstrata():
                 )
                 if fforacle.count_strata(mod, "zbar", p0, s) != tail:
                     ok_cum = False
-        checks.append(
-            _check("ffstrata", f"stratified sums rebuild counts, (r={r}, n={n}, p={p})", ok_fwd)
-        )
-        checks.append(
-            _check("ffstrata", f"closed strata are tail sums, (r={r}, n={n}, p={p})", ok_cum)
-        )
-    return checks
+        yield f"stratified sums rebuild counts, (r={r}, n={n}, p={p})", ok_fwd
+        yield f"closed strata are tail sums, (r={r}, n={n}, p={p})", ok_cum
 
 
 SUITES = {
@@ -427,4 +373,4 @@ def run_suite(name: str, **kwargs):
     for key in kwargs:
         if key not in params:
             raise InvalidParameter(f"suite {name!r} got an unexpected keyword argument {key!r}")
-    return fn(**kwargs)
+    return [Check(name, label, bool(ok), *detail) for label, ok, *detail in fn(**kwargs)]

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -56,10 +57,18 @@ def test_families_budget(capsys):
     assert "BudgetExceeded" in err
 
 
-def test_families_negative_budget_is_invalid(capsys):
-    code, out, err = run_cli(
-        capsys, "families", "--r", "2", "--n", "5", "--list", "--budget", "-1"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["families", "--r", "2", "--n", "5", "--list"],
+        ["families", "--r", "2", "--n", "5"],
+        ["xvar", "--r", "2", "--n", "4", "--method", "enum"],
+        ["xvar", "--r", "2", "--n", "4"],
+    ],
+    ids=["families-list", "families", "xvar-enum", "xvar"],
+)
+def test_families_negative_budget_is_invalid(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--budget", "-1")
     assert code == 2
     assert json.loads(out)["error"] == "InvalidParameter"
 
@@ -235,8 +244,11 @@ def test_missing_r_or_n(capsys, cmd, missing):
 
 
 def test_verify_failure_reports_then_exits_1(tmp_path, capsys, monkeypatch):
-    checks = [verify.Check("boom", "holds", True), verify.Check("boom", "breaks", False, "d")]
-    monkeypatch.setitem(verify.SUITES, "boom", (lambda: checks, "always fails"))
+    def suite_boom():
+        yield "holds", True
+        yield "breaks", False, "d"
+
+    monkeypatch.setitem(verify.SUITES, "boom", (suite_boom, "always fails"))
     report = "ok boom: holds\nFAIL boom: breaks (d)\n"
     code, out, err = run_cli(capsys, "verify", "--suite", "boom")
     assert (code, out, err) == (1, report, "")
@@ -246,6 +258,16 @@ def test_verify_failure_reports_then_exits_1(tmp_path, capsys, monkeypatch):
     assert target.read_text() == report
     code, out, _ = run_cli(capsys, "verify", "--suite", "boom", "--format", "json")
     assert code == 1 and json.loads(out)["passed"] is False
+
+
+def test_suites_registry_is_the_suite_functions():
+    defined = {
+        name.removeprefix("suite_"): fn
+        for name, fn in vars(verify).items()
+        if name.startswith("suite_") and callable(fn)
+    }
+    assert {name: fn for name, (fn, _) in verify.SUITES.items()} == defined
+    assert all(inspect.isgeneratorfunction(fn) for fn in defined.values())
 
 
 def test_output_determinism(tmp_path, capsys):
