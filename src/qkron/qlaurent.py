@@ -13,6 +13,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
+from operator import sub
 
 from .errors import (
     InvalidParameter,
@@ -32,6 +33,10 @@ except ImportError:  # pragma: no cover - exercised via an explicit test stub
 # (Kronecker) packing, which is much faster for the polynomials that appear
 # in cluster-variable recursions.
 _SCHOOLBOOK_LIMIT = 96
+
+# Spans so sparse that packed digits would outnumber the nonzero terms by
+# more than this, multiplied out, stay off the packed path.
+_MAX_PADDING = 64
 
 # -- the coefficient kernel ------------------------------------------------
 #
@@ -226,14 +231,20 @@ def _mul_packed_pairs(acc: dict, p1: dict, p2: dict, g: int, bits: int) -> None:
         _add_aligned(acc, key, v1 * v2, lo1 + lo2 + sh, hi1 + hi2 + sh, g, bits)
 
 
-def _max_coeff(t: dict) -> int:
-    values = list(map(dict.values, t.values()))
+def _max_coeff(*ts: dict) -> int:
+    """The largest |coefficient| in the term maps, which hold at least one term."""
+    values = [d.values() for t in ts for d in t.values()]
     return max(max(map(max, values)), -min(map(min, values)))
 
 
 def _offset_gcd(*ts: dict) -> int:
-    """gcd of the exponent offsets inside the coefficients; 0 if all are one-term."""
-    return math.gcd(*(k - lo for t in ts for d in t.values() for lo in [min(d)] for k in d))
+    """gcd of the exponent offsets inside the coefficients; 0 if all are one-term.
+    Folds one coefficient at a time, so no tuple of every offset is built."""
+    g = 0
+    for t in ts:
+        for d in t.values():
+            g = math.gcd(g, *map(sub, d, repeat(min(d))))
+    return g
 
 
 def _packed(t: dict, width: int, g: int) -> list:
@@ -270,7 +281,7 @@ def _mul_terms(t1: dict, t2: dict) -> dict:
         g = math.gcd(g, base - first.setdefault(key, base))
     g = g or 1
     digits = [sum((max(d) - min(d)) // g + 1 for d in t.values()) for t in (t1, t2)]
-    if digits[0] * digits[1] > 64 * n1 * n2:
+    if digits[0] * digits[1] > _MAX_PADDING * n1 * n2:
         return _mul_dicts(t1, t2)
     nnz = min(max(map(len, t.values())) for t in (t1, t2))
     width = _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * min(len(t1), len(t2)))
@@ -278,6 +289,51 @@ def _mul_terms(t1: dict, t2: dict) -> dict:
     p1, p2 = ({key: _packed(d, width, g) for key, d in t.items()} for t in (t1, t2))
     _mul_packed_pairs(prod, p1, p2, g, 8 * width)
     return {key: _decode(entry, width, g) for key, entry in prod.items()}
+
+
+def mat_mul(a: list, b: list) -> list:
+    """The matrix product a * b of QLaurent matrices given as lists of rows.
+
+    One pass over the entries finds one stride g and one digit width: g
+    divides every exponent offset inside an entry, and the lowest exponents
+    of the entries of a (and of b) agree mod g, so all terms a[i][k] b[k][j]
+    of one output entry land on one lattice and an ``_OffStride`` fails as
+    an assertion.  An output digit sums at most len(b) products whose digits
+    are at most max|a| * max|b| * min(max nnz), which bounds the width and
+    makes every decode exact.  Every entry of b is packed once and each row
+    of a while it is in use; each nonzero term is one integer product and
+    one ``_add_aligned``, and each output entry is decoded once.  Spans that
+    would be padded as ``_mul_terms`` refuses are summed as QLaurent products.
+    """
+    n, p = len(b), len(b[0]) if b else 0
+    if any(len(row) != n for row in a) or any(len(row) != p for row in b):
+        raise InvalidParameter("mat_mul needs an m x n and an n x p matrix")
+    ta, tb = ([{k: x._t for k, x in enumerate(row) if x} for row in m] for m in (a, b))
+    ea, eb = ([d for row in t for d in row.values()] for t in (ta, tb))
+    if not ea or not eb:
+        return [[ZERO] * p for _ in a]
+    g = _offset_gcd(*ta, *tb)
+    for entries in (ea, eb):
+        lows = list(map(min, entries))
+        g = math.gcd(g, *map(sub, lows, repeat(lows[0])))
+    g = g or 1
+    digits = [sum((max(d) - min(d)) // g + 1 for d in e) for e in (ea, eb)]
+    if digits[0] * digits[1] > _MAX_PADDING * sum(map(len, ea)) * sum(map(len, eb)):
+        return [[sum(map(QLaurent.__mul__, row, col), ZERO) for col in zip(*b)] for row in a]
+    nnz = min(max(map(len, ea)), max(map(len, eb)))
+    width = _digit_width(n * _max_coeff(*ta) * _max_coeff(*tb) * nnz)
+    bits = 8 * width
+    pb = [{j: _packed(d, width, g) for j, d in row.items()} for row in tb]
+    out = []
+    for row in ta:
+        acc: dict = {}
+        for k, d in row.items():
+            v1, lo1, hi1 = _packed(d, width, g)
+            for j, (v2, lo2, hi2) in pb[k].items():
+                _add_aligned(acc, j, v1 * v2, lo1 + lo2, hi1 + hi2, g, bits)
+        out.append([QLaurent._raw(_decode(acc[j], width, g)) if j in acc else ZERO
+                    for j in range(p)])
+    return out
 
 
 def _power(x, e: int, out):

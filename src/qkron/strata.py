@@ -10,7 +10,8 @@ preimage-dimension strata inside the ordinary Grassmannian Gr_{e2}(M_2):
 and conversely P_{e1,e2} = sum_p [p choose e1]_q Z'(p).  The closed-stratum
 weights use the convention [−1 choose 0]_q = 1 at the (0, 0) corner.  The
 stratum tables come from one q-Pascal sweep per column, with no polynomial
-product; ``transform_matrix`` and ``closed_zbar_m6`` keep the signed weights.
+product; ``transform_matrix`` and ``closed_zbar_m6`` keep the signed weights,
+and the weighted sums are packed matrix products (``qlaurent.mat_mul``).
 
 For the module with dimension vector (r^3-2r, r^2-1) and e2 = 1 both sides
 have closed forms valid for every r; ``closed_zbar_m6`` produces, among
@@ -25,7 +26,7 @@ import math
 
 from .cluster import GrTable
 from .errors import InvalidParameter
-from .qlaurent import QLaurent, q_binomial
+from .qlaurent import QLaurent, _shift_add, mat_mul, q_binomial
 from .records import Record
 
 
@@ -125,14 +126,18 @@ def strata_from_gr(table: GrTable, e2: int) -> StrataTable:
     return StrataTable(e2, table.d1, table.d2, *_strata(column, table.d1))
 
 
+def _dot(row: list, col: list) -> QLaurent:
+    """sum_k row[k] * col[k], as a 1 x m by m x 1 matrix product."""
+    if not row:
+        return QLaurent.zero()
+    return mat_mul([row], [[x] for x in col])[0][0]
+
+
 def gr_from_strata(strata: StrataTable, e1: int) -> QLaurent:
     """Forward reconstruction of a Grassmannian polynomial from the open
     strata: sum_p [p choose e1]_q Z'(p)."""
-    out = QLaurent.zero()
-    for p, poly in strata.zprime.items():
-        if poly:
-            out = out + q_binomial(p, e1) * poly
-    return out
+    ps = [p for p, poly in strata.zprime.items() if poly]
+    return _dot([q_binomial(p, e1) for p in ps], [strata.zprime[p] for p in ps])
 
 
 def _check_r(r) -> None:
@@ -148,13 +153,14 @@ def closed_gr_m6(r: int, e1: int) -> QLaurent:
         raise InvalidParameter(f"e1 must be a nonnegative integer, got {e1}")
     if e1 > r - 1:
         return QLaurent.zero()
-    total = q_binomial(r - 1, 1) * q_binomial(r - 1, e1)
-    for j in range(1, r):
-        bracket = q_binomial(r, 1) * q_binomial(r - 1, e1) - q_binomial(
-            r - j - 1, e1 - j
-        )
-        total = total + bracket.shift2(2 * ((r - e1) * j - 1))
-    return total
+    col = q_binomial(r - 1, e1)
+    head = (q_binomial(r, 1) * col)._t
+    total = dict((q_binomial(r - 1, 1) * col)._t)
+    for j in range(1, r):  # total += (head - [r-j-1 choose e1-j]_q) q^((r-e1)j-1)
+        shift = 2 * ((r - e1) * j - 1)
+        _shift_add(total, head, shift)
+        _shift_add(total, q_binomial(r - j - 1, e1 - j)._t, shift, -1)
+    return QLaurent._raw(total)
 
 
 def closed_zbar_m6(r: int, p: int) -> QLaurent:
@@ -163,11 +169,9 @@ def closed_zbar_m6(r: int, p: int) -> QLaurent:
     _check_r(r)
     if not isinstance(p, int) or p < 0:
         raise InvalidParameter(f"p must be a nonnegative integer, got {p}")
-    total = QLaurent.zero()
     # e1 runs up to d1 = r^3 - 2r, but closed_gr_m6 vanishes past r - 1 <= d1
-    for e1 in range(p, r):
-        total = total + closed_gr_m6(r, e1) * _closed_weight(e1, p)
-    return total
+    e1s = range(p, r)
+    return _dot([closed_gr_m6(r, e1) for e1 in e1s], [_closed_weight(e1, p) for e1 in e1s])
 
 
 def closed_strata_m6(r: int) -> StrataTable:

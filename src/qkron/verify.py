@@ -14,7 +14,7 @@ import random
 from . import cluster, families, fforacle, strata
 from .dyck import Color, build_dyck, classify
 from .errors import InvalidParameter
-from .qlaurent import ONE, QLaurent, c_sequence, q_binomial
+from .qlaurent import ONE, ZERO, QLaurent, c_sequence, mat_mul, q_binomial
 from .records import Record
 from .torus import TorusElement, left_divide, word_to_torus
 
@@ -103,17 +103,8 @@ def suite_matrix():
     # Principal submatrices of the size-30 pair are exactly the smaller
     # sizes, so the single product covers every size up to 30.
     size = 30
-    inv = strata.transform_matrix(size)
-    fwd = strata.q_binomial_matrix(size)
-    ok = True
-    for i in range(size):
-        for j in range(size):
-            acc = QLaurent.zero()
-            for k in range(i, j + 1):
-                if inv[i][k] and fwd[k][j]:
-                    acc = acc + inv[i][k] * fwd[k][j]
-            if acc != (ONE if i == j else QLaurent.zero()):
-                ok = False
+    prod = mat_mul(strata.transform_matrix(size), strata.q_binomial_matrix(size))
+    ok = prod == [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
     yield (
         f"triangular transform times binomial matrix is identity ({size * (size + 1) // 2} entries)",
         ok,

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,6 +190,34 @@ def test_coefficient_scans():
     assert _max_coeff({(0, 0): {0: 3, 2: -7}, (1, 0): {4: 5}}) == 7
     assert _offset_gcd({(0, 0): {5: 1}, (1, 0): {-3: 2}}, {(2, 1): {0: 4}}) == 0
     assert _offset_gcd({(0, 0): {5: 1}, (1, 0): {-3: 2, 9: 1, 3: 1}}) == 6
+
+
+@given(st.lists(st.dictionaries(st.integers(-60, 60), st.integers(-3, 3), min_size=1), max_size=5))
+def test_offset_gcd_folds_each_coefficient(coeffs):
+    from qkron.qlaurent import _max_coeff, _offset_gcd
+
+    t = dict(enumerate(coeffs))
+    assert _offset_gcd(t) == math.gcd(*(k - min(d) for d in coeffs for k in d))
+    assert _offset_gcd(t, t) == _offset_gcd(t)
+    assert _max_coeff(t, {0: {0: 1}}) == max([1, *(abs(c) for d in coeffs for c in d.values())])
+
+
+def test_mat_mul_leaves_sparse_spans_unpadded(monkeypatch):
+    import qkron.qlaurent as qlmod
+
+    lengths = []
+    pack = qlmod._pack
+    monkeypatch.setattr(
+        qlmod, "_pack", lambda t, lo, length, *rest: lengths.append(length) or pack(t, lo, length, *rest)
+    )
+    sparse, dense = 1 + q**500000, 1 + q
+    start = time.perf_counter()
+    # alone, the sparse entry packs at the stride of its gap: two digits
+    assert qlmod.mat_mul([[sparse]], [[sparse, ONE]]) == [[sparse * sparse, sparse]]
+    # beside 1 + q the stride is one power of q: its span would take 500,001 digits
+    assert qlmod.mat_mul([[sparse, dense]], [[dense], [sparse]]) == [[2 * sparse * dense]]
+    assert time.perf_counter() - start < 1
+    assert max(lengths) <= 3
 
 
 @given(qlaurents, qlaurents, qlaurents)

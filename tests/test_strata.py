@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qkron import strata, verify
 from qkron.cluster import gr_table
 from qkron.errors import InvalidParameter
-from qkron.qlaurent import ONE, QLaurent, q, q_binomial
+from qkron.qlaurent import ONE, QLaurent, mat_mul, q, q_binomial
 from qkron.strata import (
+    StrataTable,
     _closed_weight,
     _open_weight,
     _strata,
@@ -21,14 +23,78 @@ from qkron.strata import (
 
 
 def _matmul(a, b):
-    n = len(a)
+    """Schoolbook product of an m x n and an n x p matrix, the independent
+    oracle for ``mat_mul``."""
     return [
         [
-            sum((a[i][k] * b[k][j] for k in range(n)), QLaurent.zero())
-            for j in range(n)
+            sum((a[i][k] * b[k][j] for k in range(len(b))), QLaurent.zero())
+            for j in range(len(b[0]))
         ]
-        for i in range(n)
+        for i in range(len(a))
     ]
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """(a, b), an m x n and an n x p matrix.  Each entry is q^(lo/2) P(q^(s/2))
+    with one s per matrix and a low of its own, so entry lows fall on
+    different residues mod s and odd lows give half-integer exponents;
+    entries may be zero, coefficients negative and, in some draws, wider than
+    8 bytes a packed digit."""
+    m, n, p = (draw(st.integers(1, 4)) for _ in range(3))
+    big = draw(st.sampled_from((9, 2**70)))
+
+    def matrix(rows, cols):
+        s = draw(st.integers(1, 4))
+        entry = st.builds(
+            lambda lo, cs: QLaurent({lo + s * i: c for i, c in enumerate(cs)}),
+            st.integers(-7, 7),
+            st.lists(st.integers(-big, big), max_size=6),
+        )
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    return matrix(m, n), matrix(n, p)
+
+
+@given(_matrix_pairs())
+def test_mat_mul_matches_schoolbook(pair):
+    a, b = pair
+    assert mat_mul(a, b) == _matmul(a, b)
+
+
+def test_mat_mul_packs_wide_digits(monkeypatch):
+    import qkron.qlaurent as qlmod
+
+    widths = []
+    decode = qlmod._decode
+    monkeypatch.setattr(qlmod, "_decode", lambda e, w, g: widths.append(w) or decode(e, w, g))
+    a = [[QLaurent({0: 2**70, 2: -(2**69), 4: 3}), ONE], [QLaurent.zero(), q]]
+    b = [[q, QLaurent({-1: 5, 3: -(2**70)})], [ONE + q, QLaurent.zero()]]
+    assert mat_mul(a, b) == _matmul(a, b)
+    assert widths and min(widths) > 8  # the byte-wise codec, not the lanes
+
+
+def test_mat_mul_shapes():
+    with pytest.raises(InvalidParameter):
+        mat_mul([[ONE, ONE]], [[ONE]])
+    with pytest.raises(InvalidParameter):
+        mat_mul([[ONE]], [[ONE], [ONE, q]])
+    assert mat_mul([[ONE], [q]], [[QLaurent.zero(), QLaurent.zero()]]) == [
+        [QLaurent.zero()] * 2
+    ] * 2
+
+
+def test_suite_matrix_sees_a_perturbed_entry(monkeypatch):
+    assert [ok for _, ok, *_ in verify.suite_matrix()] == [True]
+    transform = strata.transform_matrix
+
+    def perturbed(size):
+        m = transform(size)
+        m[3][17] = m[3][17] + q**5
+        return m
+
+    monkeypatch.setattr(strata, "transform_matrix", perturbed)
+    assert [ok for _, ok, *_ in verify.suite_matrix()] == [False]
 
 
 def test_transform_is_inverse_small():
@@ -70,6 +136,7 @@ def test_gr_from_strata_roundtrip():
                 assert gr_from_strata(st, e1) == table.entry(e1, e2)
             # total over the stratification is the plain Grassmannian
             assert gr_from_strata(st, 0) == q_binomial(table.d2, e2)
+    assert gr_from_strata(StrataTable(0, 2, 2, {0: QLaurent.zero()}), 1) == QLaurent.zero()
 
 
 def test_zbar_tail_sums():
