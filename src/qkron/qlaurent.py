@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
@@ -155,7 +156,7 @@ def _unpack(val, lo: int, length: int, width: int, step: int = 1) -> dict:
 
 class _OffStride(AssertionError):
     """A packed sum landed off its stride; args[0] is the gap.  ``left_divide``
-    guesses its stride and reruns at gcd(stride, gap); ``_mul_terms`` and the
+    guesses its stride and reruns at gcd(stride, gap); ``_mul_pairs`` and the
     family scan prove theirs, so there the exception fails as the assertion
     it is."""
 
@@ -193,27 +194,32 @@ def _decode(entry, width: int, g: int) -> dict:
     return _unpack(val, lo, (hi - lo) // g + 1, width, g)
 
 
-# -- the normal-form product ---------------------------------------------------
+# -- the pair product -----------------------------------------------------------
 #
-# A term map {(a, b): {doubled exponent: int}} stands for the quantum-torus
-# element sum c_{a,b}(q) X1^a X2^b; a QLaurent is the one-key map {(0, 0): t}.
-# Every product of such maps, in QLaurent, the torus and its division, goes
-# through _twisted and one of the two pair loops below; the family scan
-# only multiplies by monomials and writes that case out.
+# A term map {key: {doubled exponent: int}} holds nonzero coefficients.  A
+# pair product sums q^(shift/2) t1[k1] t2[k2] into out_key over a list of
+# (out_key, doubled shift, k1, k2) pairs.  Keyed by (a, b), a term map stands
+# for the quantum-torus element sum c_{a,b}(q) X1^a X2^b and _twisted lists
+# the pairs of its normal-form product; mat_mul lists the pairs of a matrix
+# product, and a QLaurent product is the one pair (0, 0, 0, 0).  Every
+# product, in QLaurent, the torus, its division and mat_mul, goes through
+# _mul_pairs or its packed loop; the family scan only multiplies by monomials
+# and writes that case out.
 
 
-def _twisted(t1: dict, t2: dict):
-    """(key, doubled shift, v1, v2) for every pair of entries, lazily: the
-    normal form (X1^a1 X2^b1)(X1^a2 X2^b2) = q^(-b1*a2) X1^(a1+a2) X2^(b1+b2)."""
-    return (((a1 + a2, b1 + b2), -2 * b1 * a2, v1, v2)
-            for (a1, b1), v1 in t1.items() for (a2, b2), v2 in t2.items())
+def _twisted(t1: dict, t2: dict) -> list:
+    """(key, doubled shift, k1, k2) for every pair of keys: the normal form
+    (X1^a1 X2^b1)(X1^a2 X2^b2) = q^(-b1*a2) X1^(a1+a2) X2^(b1+b2)."""
+    return [((k1[0] + k2[0], k1[1] + k2[1]), -2 * k1[1] * k2[0], k1, k2)
+            for k1 in t1 for k2 in t2]
 
 
-def _mul_dicts(t1: dict, t2: dict) -> dict:
-    """t1 * t2 pair by pair: one shifted, scaled copy of the longer
+def _mul_dicts(t1: dict, t2: dict, pairs: list) -> dict:
+    """The pair product pair by pair: one shifted, scaled copy of the longer
     coefficient per term of the shorter.  Keys that cancel are dropped."""
     acc: dict = {}
-    for key, sh, c1, c2 in _twisted(t1, t2):
+    for key, sh, k1, k2 in pairs:
+        c1, c2 = t1[k1], t2[k2]
         tgt = acc.setdefault(key, {})
         if len(c1) > len(c2):
             c1, c2 = c2, c1
@@ -224,10 +230,12 @@ def _mul_dicts(t1: dict, t2: dict) -> dict:
     return acc
 
 
-def _mul_packed_pairs(acc: dict, p1: dict, p2: dict, g: int, bits: int) -> None:
-    """acc += p1 * p2 on packed entries [value, lo, hi] at stride g (see
-    ``_add_aligned``); a sum off the stride leaves acc partly updated."""
-    for key, sh, (v1, lo1, hi1), (v2, lo2, hi2) in _twisted(p1, p2):
+def _mul_packed_pairs(acc: dict, p1: dict, p2: dict, pairs: list, g: int, bits: int) -> None:
+    """acc += the pair product of packed entries [value, lo, hi] at stride g
+    (see ``_add_aligned``); a sum off the stride leaves acc partly updated."""
+    for key, sh, k1, k2 in pairs:
+        v1, lo1, hi1 = p1[k1]
+        v2, lo2, hi2 = p2[k2]
         _add_aligned(acc, key, v1 * v2, lo1 + lo2 + sh, hi1 + hi2 + sh, g, bits)
 
 
@@ -255,85 +263,68 @@ def _packed(t: dict, width: int, g: int) -> list:
     return [_pack(t, lo, (hi - lo) // g + 1, width, g), lo, hi]
 
 
-def _mul_terms(t1: dict, t2: dict) -> dict:
-    """t1 * t2 for term maps under the normal-form product.
+def _mul_pairs(t1: dict, t2: dict, pairs: list) -> dict:
+    """The pair product {out_key: sum of q^(shift/2) t1[k1] t2[k2]} over the
+    (out_key, doubled shift, k1, k2) pairs; keys that cancel are dropped.
 
-    The pair loop on dicts runs for small work, for operands averaging under
-    3 terms per coefficient, and for spans so sparse that the packed digits
-    would outnumber the dict work 64 to 1.  Otherwise every coefficient is
-    packed once at one digit width and one stride g, each pair product is
-    one integer multiplication and each collision one ``_add_aligned``, so
-    digits are decoded once per output key, not once per pair.  g divides
-    every exponent offset inside a coefficient and every gap between the
-    bases of pairs that land on one key, so q^r coefficients take r times
-    fewer digits and no sum lands off the stride (an ``_OffStride`` here
-    fails as an assertion); no digit of a sum can reach half the base, so
-    the balanced decode is exact.
+    The dict loop runs for operands averaging under 3 terms per
+    coefficient, for small work (the sum of len(t1[k1]) * len(t2[k2]) over
+    the pairs) and for spans so sparse that the packed digits would
+    outnumber the work 64 to 1.  Otherwise every coefficient is packed once
+    at one digit width and one stride g, each pair is one integer
+    multiplication and one ``_add_aligned``, and each output key is decoded
+    once.  g divides every exponent offset inside a coefficient and every
+    gap between the bases of the pairs that land on one key, so q^r
+    coefficients take r times fewer digits and no sum lands off the stride
+    (an ``_OffStride`` here fails as an assertion).  An output digit sums at
+    most fanin pair products, fanin being the most pairs on one key, whose
+    digits are at most max|t1| * max|t2| * min(max nnz), so the balanced
+    decode is exact.
     """
-    n1 = sum(map(len, t1.values()))
-    n2 = sum(map(len, t2.values())) if n1 >= 3 * len(t1) else 0
-    if n2 < 3 * len(t2) or n1 * n2 <= _SCHOOLBOOK_LIMIT:
-        return _mul_dicts(t1, t2)
+    if sum(map(len, t1.values())) < 3 * len(t1) or sum(map(len, t2.values())) < 3 * len(t2):
+        return _mul_dicts(t1, t2, pairs)
+    work = sum(len(t1[k1]) * len(t2[k2]) for _, _, k1, k2 in pairs)
+    if work <= _SCHOOLBOOK_LIMIT:
+        return _mul_dicts(t1, t2, pairs)
+    lo1, lo2 = ({key: min(d) for key, d in t.items()} for t in (t1, t2))
     g, first = _offset_gcd(t1, t2), {}
-    lows = [{key: min(d) for key, d in t.items()} for t in (t1, t2)]
-    for key, sh, lo1, lo2 in _twisted(*lows):
-        base = lo1 + lo2 + sh
+    for key, sh, k1, k2 in pairs:
+        base = lo1[k1] + lo2[k2] + sh
         g = math.gcd(g, base - first.setdefault(key, base))
     g = g or 1
-    digits = [sum((max(d) - min(d)) // g + 1 for d in t.values()) for t in (t1, t2)]
-    if digits[0] * digits[1] > _MAX_PADDING * n1 * n2:
-        return _mul_dicts(t1, t2)
-    nnz = min(max(map(len, t.values())) for t in (t1, t2))
-    width = _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * min(len(t1), len(t2)))
-    prod: dict = {}
+    dig1, dig2 = ({key: (max(d) - lo[key]) // g + 1 for key, d in t.items()}
+                  for t, lo in ((t1, lo1), (t2, lo2)))
+    if sum(dig1[k1] * dig2[k2] for _, _, k1, k2 in pairs) > _MAX_PADDING * work:
+        return _mul_dicts(t1, t2, pairs)
+    fanin = max(Counter(key for key, _, _, _ in pairs).values())
+    nnz = min(max(map(len, t1.values())), max(map(len, t2.values())))
+    width = _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * fanin)
     p1, p2 = ({key: _packed(d, width, g) for key, d in t.items()} for t in (t1, t2))
-    _mul_packed_pairs(prod, p1, p2, g, 8 * width)
-    return {key: _decode(entry, width, g) for key, entry in prod.items()}
+    acc: dict = {}
+    _mul_packed_pairs(acc, p1, p2, pairs, g, 8 * width)
+    return {key: _decode(entry, width, g) for key, entry in acc.items()}
+
+
+def _mul_terms(t1: dict, t2: dict) -> dict:
+    """t1 * t2 for term maps keyed (a, b) under the normal-form product."""
+    return _mul_pairs(t1, t2, _twisted(t1, t2))
 
 
 def mat_mul(a: list, b: list) -> list:
-    """The matrix product a * b of QLaurent matrices given as lists of rows.
-
-    One pass over the entries finds one stride g and one digit width: g
-    divides every exponent offset inside an entry, and the lowest exponents
-    of the entries of a (and of b) agree mod g, so all terms a[i][k] b[k][j]
-    of one output entry land on one lattice and an ``_OffStride`` fails as
-    an assertion.  An output digit sums at most len(b) products whose digits
-    are at most max|a| * max|b| * min(max nnz), which bounds the width and
-    makes every decode exact.  Every entry of b is packed once and each row
-    of a while it is in use; each nonzero term is one integer product and
-    one ``_add_aligned``, and each output entry is decoded once.  Spans that
-    would be padded as ``_mul_terms`` refuses are summed as QLaurent products.
-    """
+    """The matrix product a * b of QLaurent matrices given as lists of rows:
+    the pair product of the nonzero entries, with one pair per nonzero
+    summand a[i][k] b[k][j] of entry (i, j)."""
     n, p = len(b), len(b[0]) if b else 0
     if any(len(row) != n for row in a) or any(len(row) != p for row in b):
         raise InvalidParameter("mat_mul needs an m x n and an n x p matrix")
-    ta, tb = ([{k: x._t for k, x in enumerate(row) if x} for row in m] for m in (a, b))
-    ea, eb = ([d for row in t for d in row.values()] for t in (ta, tb))
-    if not ea or not eb:
-        return [[ZERO] * p for _ in a]
-    g = _offset_gcd(*ta, *tb)
-    for entries in (ea, eb):
-        lows = list(map(min, entries))
-        g = math.gcd(g, *map(sub, lows, repeat(lows[0])))
-    g = g or 1
-    digits = [sum((max(d) - min(d)) // g + 1 for d in e) for e in (ea, eb)]
-    if digits[0] * digits[1] > _MAX_PADDING * sum(map(len, ea)) * sum(map(len, eb)):
-        return [[sum(map(QLaurent.__mul__, row, col), ZERO) for col in zip(*b)] for row in a]
-    nnz = min(max(map(len, ea)), max(map(len, eb)))
-    width = _digit_width(n * _max_coeff(*ta) * _max_coeff(*tb) * nnz)
-    bits = 8 * width
-    pb = [{j: _packed(d, width, g) for j, d in row.items()} for row in tb]
-    out = []
-    for row in ta:
-        acc: dict = {}
-        for k, d in row.items():
-            v1, lo1, hi1 = _packed(d, width, g)
-            for j, (v2, lo2, hi2) in pb[k].items():
-                _add_aligned(acc, j, v1 * v2, lo1 + lo2, hi1 + hi2, g, bits)
-        out.append([QLaurent._raw(_decode(acc[j], width, g)) if j in acc else ZERO
-                    for j in range(p)])
-    return out
+    ta, tb = ({(i, k): x._t for i, row in enumerate(m) for k, x in enumerate(row) if x}
+              for m in (a, b))
+    rows = [[] for _ in b]  # the keys of b by row; pairs share the key tuples
+    for kj in tb:
+        rows[kj[0]].append(kj)
+    prod = _mul_pairs(ta, tb, [((ik[0], kj[1]), 0, ik, kj) for ik in ta for kj in rows[ik[1]]])
+    return [[QLaurent._raw(prod[i, j]) if (i, j) in prod else ZERO for j in range(p)]
+            for i in range(len(a))]
 
 
 def _power(x, e: int, out):
@@ -440,6 +431,9 @@ class QLaurent:
         return self._t == other._t
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if self._t.keys() <= {0}:
+            return hash(self._t.get(0, 0))
         return hash(tuple(sorted(self._t.items())))
 
     def __neg__(self) -> "QLaurent":
@@ -472,7 +466,7 @@ class QLaurent:
         a, b = self._t, other._t
         if not a or not b:
             return QLaurent.zero()
-        return QLaurent._raw(_mul_terms({(0, 0): a}, {(0, 0): b}).get((0, 0), {}))
+        return QLaurent._raw(_mul_pairs({0: a}, {0: b}, [(0, 0, 0, 0)]).get(0, {}))
 
     __rmul__ = __mul__
 

@@ -11,7 +11,8 @@ and conversely P_{e1,e2} = sum_p [p choose e1]_q Z'(p).  The closed-stratum
 weights use the convention [−1 choose 0]_q = 1 at the (0, 0) corner.  The
 stratum tables come from one q-Pascal sweep per column, with no polynomial
 product; ``transform_matrix`` and ``closed_zbar_m6`` keep the signed weights,
-and the weighted sums are packed matrix products (``qlaurent.mat_mul``).
+and the weighted sums are matrix products (``qlaurent.mat_mul``), which run
+on the same pair product as the torus recursion.
 
 For the module with dimension vector (r^3-2r, r^2-1) and e2 = 1 both sides
 have closed forms valid for every r; ``closed_zbar_m6`` produces, among

@@ -15,7 +15,7 @@ import math
 
 from .errors import DivisionFailed, InvalidParameter
 from .qlaurent import (ONE, QLaurent, _decode, _digit_width, _max_coeff, _mul_packed_pairs,
-                       _mul_terms, _offset_gcd, _OffStride, _packed, _power)
+                       _mul_terms, _offset_gcd, _OffStride, _packed, _power, _twisted)
 
 
 class TorusElement:
@@ -273,8 +273,9 @@ def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
         if top > bound:
             return None, max(2 * bound, top), g
         quot[(az, bz)] = QLaurent._raw(cz)
+        z = {(az, bz): (val, lo, hi)}
         try:
-            _mul_packed_pairs(rem, terms, {(az, bz): (val, lo, hi)}, g, 8 * width)
+            _mul_packed_pairs(rem, terms, z, _twisted(terms, z), g, 8 * width)
         except _OffStride as off:
             return None, bound, math.gcd(g, off.args[0])
     raise DivisionFailed("division did not terminate within the support box")

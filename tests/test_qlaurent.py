@@ -210,12 +210,15 @@ def test_mat_mul_leaves_sparse_spans_unpadded(monkeypatch):
     monkeypatch.setattr(
         qlmod, "_pack", lambda t, lo, length, *rest: lengths.append(length) or pack(t, lo, length, *rest)
     )
-    sparse, dense = 1 + q**500000, 1 + q
+    # three terms an entry and 12 pairs of 9 terms each: enough work to pack
+    sparse, dense = 1 + q**250000 + q**500000, 1 + q + q**2
     start = time.perf_counter()
-    # alone, the sparse entry packs at the stride of its gap: two digits
-    assert qlmod.mat_mul([[sparse]], [[sparse, ONE]]) == [[sparse * sparse, sparse]]
-    # beside 1 + q the stride is one power of q: its span would take 500,001 digits
-    assert qlmod.mat_mul([[sparse, dense]], [[dense], [sparse]]) == [[2 * sparse * dense]]
+    # alone, the sparse entries pack at the stride of their gaps: three digits
+    a, b = [[sparse] * 3] * 2, [[sparse, ONE + sparse]] * 3
+    assert qlmod.mat_mul(a, b) == [[3 * sparse * sparse, 3 * sparse * (ONE + sparse)]] * 2
+    # beside 1 + q + q^2 the stride is one power of q: a span would take 500,001 digits
+    a, b = [[sparse, dense, sparse]] * 2, [[dense] * 2, [sparse] * 2, [dense] * 2]
+    assert qlmod.mat_mul(a, b) == [[3 * sparse * dense] * 2] * 2
     assert time.perf_counter() - start < 1
     assert max(lengths) <= 3
 
@@ -345,6 +348,11 @@ def test_json_roundtrip():
     obj = p.to_obj()
     assert obj["coeffs"][0] == {"q2": -3, "c": "12345678901234567890"}
     assert QLaurent.from_obj(obj) == p
+
+
+def test_constants_hash_as_their_ints():
+    assert len({ONE, 1}) == 1 and len({QLaurent.zero(), 0}) == 1
+    assert {QLaurent.const(5): "p", 5: "int"} == {5: "int"}
 
 
 @given(qlaurents)

@@ -40,7 +40,8 @@ def _matrix_pairs(draw):
     with one s per matrix and a low of its own, so entry lows fall on
     different residues mod s and odd lows give half-integer exponents;
     entries may be zero, coefficients negative and, in some draws, wider than
-    8 bytes a packed digit."""
+    8 bytes a packed digit.  Up to 12 terms an entry send some draws to the
+    packed loop."""
     m, n, p = (draw(st.integers(1, 4)) for _ in range(3))
     big = draw(st.sampled_from((9, 2**70)))
 
@@ -49,7 +50,7 @@ def _matrix_pairs(draw):
         entry = st.builds(
             lambda lo, cs: QLaurent({lo + s * i: c for i, c in enumerate(cs)}),
             st.integers(-7, 7),
-            st.lists(st.integers(-big, big), max_size=6),
+            st.lists(st.integers(-big, big), max_size=12),
         )
         return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
@@ -68,8 +69,10 @@ def test_mat_mul_packs_wide_digits(monkeypatch):
     widths = []
     decode = qlmod._decode
     monkeypatch.setattr(qlmod, "_decode", lambda e, w, g: widths.append(w) or decode(e, w, g))
-    a = [[QLaurent({0: 2**70, 2: -(2**69), 4: 3}), ONE], [QLaurent.zero(), q]]
-    b = [[q, QLaurent({-1: 5, 3: -(2**70)})], [ONE + q, QLaurent.zero()]]
+    # four terms an entry, so the 8 pairs are enough work to pack
+    wide = QLaurent({0: 2**70, 2: -(2**69), 4: 3, 6: 1})
+    a = [[wide, q_binomial(3, 1)], [wide.shift2(1), q * q_binomial(3, 1)]]
+    b = [[q_binomial(4, 2).shift2(-1), QLaurent({-1: 5, 3: -(2**70), 5: 1, 9: 2})], [ONE + wide, wide]]
     assert mat_mul(a, b) == _matmul(a, b)
     assert widths and min(widths) > 8  # the byte-wise codec, not the lanes
 
@@ -82,6 +85,21 @@ def test_mat_mul_shapes():
     assert mat_mul([[ONE], [q]], [[QLaurent.zero(), QLaurent.zero()]]) == [
         [QLaurent.zero()] * 2
     ] * 2
+
+
+def test_mat_mul_packs_only_enough_work(monkeypatch):
+    import qkron.qlaurent as qlmod
+
+    adds = []
+    add = qlmod._add_aligned
+    monkeypatch.setattr(qlmod, "_add_aligned", lambda acc, *rest: adds.append(1) or add(acc, *rest))
+    assert [ok for _, ok, *_ in verify.suite_matrix()] == [True]
+    # the packed loop: one aligned add per nonzero pair, i <= k <= j < 30
+    assert len(adds) == 4960
+    adds.clear()
+    a = [[ONE, q], [ONE + q, QLaurent.zero()]]
+    assert mat_mul(a, a) == _matmul(a, a)
+    assert adds == []  # one- and two-term entries take the dict loop
 
 
 def test_suite_matrix_sees_a_perturbed_entry(monkeypatch):
