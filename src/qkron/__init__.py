@@ -6,7 +6,7 @@ polynomials, stratification transforms with closed forms, and a finite-field
 point-counting oracle.
 """
 
-from .cluster import GrTable, assemble_xvar, dim_vector, gr_table, xvar_recursive
+from .cluster import GrTable, assemble_xvar, gr_table, xvar_recursive
 from .dyck import Color, DyckPath, build_dyck, classify, render_ascii, slope_exceeds
 from .errors import (
     AmbiguousGreenLabel,
@@ -35,7 +35,7 @@ from .families import (
     xvar_enum,
 )
 from .fforacle import FFModule, build_module, count_gr, count_strata, end_dim
-from .qlaurent import QLaurent, c_sequence, q_binomial, q_int
+from .qlaurent import QLaurent, c_sequence, dim_vector, q_binomial, q_int
 from .strata import (
     StrataTable,
     closed_gr_m6,

@@ -7,18 +7,28 @@ Every computed X_n decomposes as
     sum over e = (e1, e2) of
     q^((r(e1^2+(d2-e2)^2) - d1 d2)/2) * P_e(q^r) * X1^(-d1+r(d2-e2)) * X2^(r e1-d2)
 
-with (d1, d2) = (c_{n-1}, c_{n-2}); the P_e are polynomials in q with
+with (d1, d2) = ``dim_vector(r, n)``; the P_e are polynomials in q with
 nonnegative coefficients, one per dimension vector of subrepresentations.
 ``gr_table`` reads them off a computed X_n and ``assemble_xvar`` is the
 exact inverse.
+
+The size of X_n follows from (r, n) alone.  With the Euler form
+<e, d-e> = e1(d1-e1) + e2(d2-e2) - r e1(d2-e2), P_e is nonzero exactly when
+<e, d-e> >= 0, and then it is palindromic of degree <e, d-e> with every
+coefficient from q^0 to that degree positive: for the rigid M_n the
+quiver Grassmannian Gr_e(M_n) is smooth projective of that dimension when
+it is nonempty (Caldero and Reineke, "On the quiver Grassmannian in the
+acyclic case", JPAA 212, 2008).  So X_n has one key per such e and
+sum (<e, d-e> + 1) coefficients; (5, 6) has 1,451 keys and 1,718,976
+coefficients.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BudgetExceeded, ExtractionFailed, InvalidParameter
-from .qlaurent import ONE, QLaurent, c_sequence
+from .errors import BudgetExceeded, ExtractionFailed
+from .qlaurent import ONE, QLaurent, c_sequence, dim_vector
 from .records import Record
 from .torus import TorusElement, left_divide
 
@@ -27,21 +37,11 @@ MAX_TERMS = 500_000
 MAX_COEFF_BITS = 1 << 22
 
 
-def dim_vector(r: int, n: int):
-    """(d1, d2) = (c_{n-1}, c_{n-2}) for the n-th rigid module."""
-    if not isinstance(n, int) or n < 3:
-        raise InvalidParameter(f"dimension vectors start at n = 3, got {n}")
-    return c_sequence(r, n - 1), c_sequence(r, n - 2)
-
-
 @lru_cache(maxsize=128, typed=True)
 def xvar_recursive(r: int, n: int) -> TorusElement:
     """n-th cluster variable: X1, X2, then one exact left division per step
     of the exchange relation, from the cached X_{n-2} and X_{n-1}."""
-    if not isinstance(r, int) or r < 2:
-        raise InvalidParameter(f"r must be an integer >= 2, got {r}")
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameter(f"n must be an integer >= 1, got {n}")
+    c_sequence(r, n)  # checks r >= 2 and n >= 1
     if n <= 2:
         return TorusElement.monomial(1, 0) if n == 1 else TorusElement.monomial(0, 1)
     try:
@@ -89,10 +89,8 @@ class GrTable(Record):
 
 def gr_table(r: int, n: int) -> GrTable:
     """Extract the Grassmannian polynomials of X_n from the recursion."""
-    if not isinstance(n, int) or n < 3:
-        raise InvalidParameter(f"tables exist for n >= 3, got {n}")
-    xn = xvar_recursive(r, n)
     d1, d2 = dim_vector(r, n)
+    xn = xvar_recursive(r, n)
     entries = {}
     for (a, b), coeff in xn.items():
         if (a + d1) % r or (b + d2) % r:

@@ -19,7 +19,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import AmbiguousGreenLabel, IndexOutOfRange, InvalidParameter
-from .qlaurent import c_sequence
+from .qlaurent import c_sequence, dim_vector
 
 
 class Color(namedtuple("Color", "kind m w", defaults=(None, None))):
@@ -74,8 +74,7 @@ def build_dyck(r: int, n: int) -> DyckPath:
     """
     if not isinstance(n, int) or n < 4:
         raise InvalidParameter(f"n must be an integer >= 4, got {n}")
-    big = c_sequence(r, n - 1)
-    b = c_sequence(r, n - 2)
+    big, b = dim_vector(r, n)
     a = big - b
     word = []
     for t in range(1, big + 1):

@@ -415,8 +415,6 @@ def xvar_enum(r: int, n: int, budget: int | None = DEFAULT_FAMILY_BUDGET) -> Tor
     Equals q^(1/2) times the recursion route for the same (r, n).  The
     family count is checked against ``budget`` before the scan runs.
     """
-    if not isinstance(n, int) or n < 4:
-        raise InvalidParameter(f"family expansion needs n >= 4, got {n}")
-    count = count_families(r, n)
+    count = count_families(r, n)  # build_dyck checks r >= 2 and n >= 4
     check_budget(count, budget)
     return _expand(r, n)

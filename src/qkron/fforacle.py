@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import BudgetExceeded, ConstructionFailed, InvalidParameter
-from .qlaurent import c_sequence, q_binomial
+from .qlaurent import _json_field, c_sequence, dim_vector, q_binomial
 
 ALLOWED_PRIMES = (2, 3, 5)
 MAX_SUBSPACES = 2_000_000  # the largest Grassmannian a count enumerates
@@ -51,13 +51,16 @@ class FFModule(namedtuple("FFModule", "p r n d1 d2 phis")):
     @classmethod
     def from_obj(cls, obj, n: int = 0) -> "FFModule":
         phis = tuple(
-            tuple(tuple(int(x) for x in row) for row in phi) for phi in obj["phis"]
+            tuple(tuple(map(_json_field, _json_field(row, kind=list)))
+                  for row in _json_field(phi, kind=list))
+            for phi in _json_field(obj, "phis", list)
         )
-        p, r = int(obj["p"]), int(obj["r"])
+        p, r = _json_field(obj, "p"), _json_field(obj, "r")
         if p not in ALLOWED_PRIMES:
             raise InvalidParameter(f"p must be one of {ALLOWED_PRIMES}, got {p}")
         if not phis or not phis[0] or not phis[0][0]:
             raise InvalidParameter("module JSON must carry nonempty matrices")
+        c_sequence(r, 1)  # checks r >= 2
         if len(phis) != r:
             raise InvalidParameter(f"module JSON carries {len(phis)} matrices, not r = {r}")
         d2 = len(phis[0])
@@ -149,62 +152,34 @@ def end_dim(mod: FFModule) -> int:
 
 
 def build_module(p: int, r: int, n: int, seed: int = 0) -> FFModule:
-    """A certified rigid module with dimension vector (c_{n-1}, c_{n-2}).
+    """A certified rigid module with dimension vector ``dim_vector(r, n)``:
+    the first candidate whose endomorphism algebra is one-dimensional.
 
-    Small cases use explicit matrices (coordinate functionals for n = 4,
-    shifted identities for r = 2, which reach every n >= 4); otherwise, for
-    n <= 6, a seeded random search accepts the first candidate whose
-    endomorphism algebra is one-dimensional.
+    For n = 4 or r = 2 the one candidate has phi_k[i][j] = 1 exactly when
+    j = i + k: the coordinate functionals at n = 4 (d2 = 1) and two shifted
+    identities at r = 2 (d1 = d2 + 1), which reach every n >= 4.  Otherwise,
+    for n <= 6, the candidates are ``SEARCH_ATTEMPTS`` seeded random draws.
     """
     if p not in ALLOWED_PRIMES:
         raise InvalidParameter(f"p must be one of {ALLOWED_PRIMES}, got {p}")
-    if not isinstance(r, int) or r < 2:
-        raise InvalidParameter(f"r must be an integer >= 2, got {r}")
     if not isinstance(n, int) or n < 4 or (n > 6 and r != 2):
         raise InvalidParameter(f"module index must be in 4..6 (any n >= 4 at r = 2), got {n}")
-    d1, d2 = c_sequence(r, n - 1), c_sequence(r, n - 2)
+    d1, d2 = dim_vector(r, n)
     assert d1 * d1 + d2 * d2 - r * d1 * d2 == 1
 
-    def certified(phis):
+    if n == 4 or r == 2:
+        candidates = [tuple(tuple(tuple(int(j == i + k) for j in range(d1)) for i in range(d2))
+                            for k in range(r))]
+    else:
+        rng = random.Random(f"qkron-ff-{p}-{r}-{n}-{seed}")
+        candidates = (tuple(tuple(tuple(rng.randrange(p) for _ in range(d1)) for _ in range(d2))
+                            for _ in range(r))
+                      for _ in range(SEARCH_ATTEMPTS))
+    for phis in candidates:
         mod = FFModule(p, r, n, d1, d2, phis)
-        return mod if end_dim(mod) == 1 else None
-
-    if n == 4:
-        # d2 = 1: the k-th map is the k-th coordinate functional.
-        phis = tuple(
-            (tuple(1 if j == k else 0 for j in range(d1)),) for k in range(r)
-        )
-        mod = certified(phis)
-        if mod is None:
-            raise ConstructionFailed("coordinate functionals failed certification")
-        return mod
-    if r == 2:
-        # d1 = d2 + 1: two shifted identity matrices.
-        phi1 = tuple(
-            tuple(1 if j == i else 0 for j in range(d1)) for i in range(d2)
-        )
-        phi2 = tuple(
-            tuple(1 if j == i + 1 else 0 for j in range(d1)) for i in range(d2)
-        )
-        mod = certified((phi1, phi2))
-        if mod is None:
-            raise ConstructionFailed("shifted identities failed certification")
-        return mod
-
-    rng = random.Random(f"qkron-ff-{p}-{r}-{n}-{seed}")
-    for _ in range(SEARCH_ATTEMPTS):
-        phis = tuple(
-            tuple(
-                tuple(rng.randrange(p) for _ in range(d1)) for _ in range(d2)
-            )
-            for _ in range(r)
-        )
-        mod = certified(phis)
-        if mod is not None:
+        if end_dim(mod) == 1:
             return mod
-    raise ConstructionFailed(
-        f"no certified module for (p={p}, r={r}, n={n}) in {SEARCH_ATTEMPTS} attempts"
-    )
+    raise ConstructionFailed(f"no candidate module for (p={p}, r={r}, n={n}) passed certification")
 
 
 # -- counting -------------------------------------------------------------------

@@ -17,6 +17,7 @@ from itertools import compress, repeat
 from operator import sub
 
 from .errors import (
+    DivisionFailed,
     InvalidParameter,
     NonIntegralEvaluation,
     NotAPowerSeriesInQr,
@@ -189,9 +190,16 @@ def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) ->
 
 
 def _decode(entry, width: int, g: int) -> dict:
-    """The coefficient of a packed entry [value, lo, hi] at stride g."""
+    """The coefficient of a packed entry [value, lo, hi] at stride g.
+
+    Only the live digits are read: ``_add_aligned`` leaves hi in place when
+    top digits cancel.  Every |digit| is below a quarter of the base B (see
+    ``_digit_width``), so a top nonzero digit at index k gives |value| >
+    B^k / 2 and the bit length keeps it; an overflowed top digit keeps the
+    full length, and ``_unpack`` refuses it as before."""
     val, lo, hi = entry
-    return _unpack(val, lo, (hi - lo) // g + 1, width, g)
+    bits = 8 * width
+    return _unpack(val, lo, min((hi - lo) // g + 1, val.bit_length() // bits + 1), width, g)
 
 
 # -- the pair product -----------------------------------------------------------
@@ -308,6 +316,54 @@ def _mul_pairs(t1: dict, t2: dict, pairs: list) -> dict:
 def _mul_terms(t1: dict, t2: dict) -> dict:
     """t1 * t2 for term maps keyed (a, b) under the normal-form product."""
     return _mul_pairs(t1, t2, _twisted(t1, t2))
+
+
+def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
+    """One run of ``left_divide`` on term maps with a packed remainder: an
+    entry [value, lo, hi] per key, all at stride g and one digit width.  Each
+    step decodes the leading entry (the quotient term up to a unit) and
+    subtracts the other divisor terms times it with the kernel's packed pair
+    loop, one big-integer product per divisor term.  While every
+    quotient coefficient is at most ``bound``, a remainder digit is a digit
+    of n minus at most |d| digits of size maxc(d) * bound * maxnnz(d), so by
+    induction every decode is exact.  Returns (quotient, bound, g); the
+    quotient is None when a quotient coefficient exceeds the bound (which
+    is then at least doubled) or a sum lands off the stride (g shrinks).
+    """
+    (ad, bd), cd = max(d.items())
+    ((kd2, sign),) = cd.items()
+    nnz = max(map(len, d.values()))
+    width = _digit_width(_max_coeff(n) + len(d) * _max_coeff(d) * bound * nnz)
+    rem = {key: _packed(c, width, g) for key, c in n.items()}
+    # -d / sign without its leading term, whose product just cancels the popped entry
+    terms = {key: _packed({k: -sign * v for k, v in c.items()}, width, g)
+             for key, c in d.items() if key != (ad, bd)}
+    amin, amax, bmin, bmax = box
+    quot: dict = {}
+    for _ in range((amax - amin + 1) * (bmax - bmin + 1) + 1):
+        if not rem:
+            return quot, bound, g
+        an, bn = max(rem)
+        az, bz = an - ad, bn - bd
+        if not (amin <= az <= amax and bmin <= bz <= bmax):
+            raise DivisionFailed(f"quotient term X1^{az} X2^{bz} escapes the support box")
+        if (az, bz) in quot:
+            raise AssertionError("duplicate quotient exponent in left_divide")
+        # cd * q^(-bd*az) * cz = cn  =>  cz = cn * q^(bd*az) / cd
+        val, lo, hi = rem.pop((an, bn))
+        sh = 2 * bd * az - kd2
+        lo, hi = lo + sh, hi + sh
+        cz = _decode((val if sign > 0 else -val, lo, hi), width, g)
+        top = max(map(abs, cz.values()))
+        if top > bound:
+            return None, max(2 * bound, top), g
+        quot[(az, bz)] = QLaurent._raw(cz)
+        z = {(az, bz): (val, lo, hi)}
+        try:
+            _mul_packed_pairs(rem, terms, z, _twisted(terms, z), g, 8 * width)
+        except _OffStride as off:
+            return None, bound, math.gcd(g, off.args[0])
+    raise DivisionFailed("division did not terminate within the support box")
 
 
 def mat_mul(a: list, b: list) -> list:
@@ -596,7 +652,34 @@ class QLaurent:
 
     @classmethod
     def from_obj(cls, obj) -> "QLaurent":
-        return cls((int(e["q2"]), int(e["c"])) for e in obj["coeffs"])
+        return cls((_json_field(e, "q2"), _json_field(e, "c", str))
+                   for e in _json_field(obj, "coeffs", list))
+
+
+def _json_field(obj, key=None, kind=int):
+    """obj[key], or obj itself when key is None, as the JSON loaders accept
+    it: kind=list takes an array (a list or tuple), kind=dict an object,
+    kind=int a JSON integer, and kind=str a coefficient, which is a JSON
+    integer or a string of decimal digits as ``to_obj`` writes it, returned
+    as an int.  Anything else, a missing key included, raises
+    InvalidParameter."""
+    if key is not None:
+        try:
+            obj = obj[key]
+        except (LookupError, TypeError):
+            raise InvalidParameter(f"JSON field {key!r} is missing") from None
+    if kind in (list, dict):
+        if isinstance(obj, (list, tuple) if kind is list else dict):
+            return obj
+    elif type(obj) is int:
+        return obj
+    elif kind is str and isinstance(obj, str):
+        digits = obj[1:] if obj[:1] == "-" else obj
+        if digits.isascii() and digits.isdigit():
+            return int(obj)
+    what = {list: "an array", dict: "an object"}.get(kind, "an integer")
+    name = "a JSON value" if key is None else f"JSON field {key!r}"
+    raise InvalidParameter(f"{name} must be {what}, got {obj!r}")
 
 
 ZERO = QLaurent.zero()
@@ -618,6 +701,14 @@ def c_sequence(r: int, n: int) -> int:
     for _ in range(n - 2):
         a, b = b, r * b - a
     return b
+
+
+def dim_vector(r: int, n: int):
+    """(d1, d2) = (c_{n-1}, c_{n-2}), the dimension vector of the n-th rigid
+    module M_n; M_3 = (1, 0) is the first."""
+    if not isinstance(n, int) or n < 3:
+        raise InvalidParameter(f"dimension vectors start at n = 3, got {n}")
+    return c_sequence(r, n - 1), c_sequence(r, n - 2)
 
 
 # A cold q_binomial(m, n) first fills the row of the Pascal table at the

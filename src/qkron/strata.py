@@ -14,7 +14,7 @@ product; ``transform_matrix`` and ``closed_zbar_m6`` keep the signed weights,
 and the weighted sums are matrix products (``qlaurent.mat_mul``), which run
 on the same pair product as the torus recursion.
 
-For the module with dimension vector (r^3-2r, r^2-1) and e2 = 1 both sides
+For M_6, of dimension vector ``dim_vector(r, 6)``, and e2 = 1 both sides
 have closed forms valid for every r; ``closed_zbar_m6`` produces, among
 other things, a stratum polynomial with negative coefficients and negative
 value at q = 1 (r = 10, p = 5), which the generic pipeline reproduces for
@@ -27,7 +27,7 @@ import math
 
 from .cluster import GrTable
 from .errors import InvalidParameter
-from .qlaurent import QLaurent, _shift_add, mat_mul, q_binomial
+from .qlaurent import QLaurent, _shift_add, dim_vector, mat_mul, q_binomial
 from .records import Record
 
 
@@ -141,15 +141,10 @@ def gr_from_strata(strata: StrataTable, e1: int) -> QLaurent:
     return _dot([q_binomial(p, e1) for p in ps], [strata.zprime[p] for p in ps])
 
 
-def _check_r(r) -> None:
-    if not isinstance(r, int) or r < 2:
-        raise InvalidParameter(f"r must be an integer >= 2, got {r}")
-
-
 def closed_gr_m6(r: int, e1: int) -> QLaurent:
-    """Grassmannian polynomial at (e1, 1) for the module with dimension
-    vector (r^3-2r, r^2-1), in closed form; zero once e1 exceeds r-1."""
-    _check_r(r)
+    """Grassmannian polynomial at (e1, 1) for M_6, of dimension vector
+    ``dim_vector(r, 6)``, in closed form; zero once e1 exceeds r-1."""
+    dim_vector(r, 6)  # checks r
     if not isinstance(e1, int) or e1 < 0:
         raise InvalidParameter(f"e1 must be a nonnegative integer, got {e1}")
     if e1 > r - 1:
@@ -165,12 +160,12 @@ def closed_gr_m6(r: int, e1: int) -> QLaurent:
 
 
 def closed_zbar_m6(r: int, p: int) -> QLaurent:
-    """Closed-stratum polynomial at parameter p (second index r^2-2) for the
+    """Closed-stratum polynomial at parameter p (second index d2 - 1) for the
     same module, in closed form valid for every r."""
-    _check_r(r)
+    dim_vector(r, 6)  # checks r
     if not isinstance(p, int) or p < 0:
         raise InvalidParameter(f"p must be a nonnegative integer, got {p}")
-    # e1 runs up to d1 = r^3 - 2r, but closed_gr_m6 vanishes past r - 1 <= d1
+    # e1 runs up to d1, but closed_gr_m6 vanishes past r - 1 <= d1
     e1s = range(p, r)
     return _dot([closed_gr_m6(r, e1) for e1 in e1s], [_closed_weight(e1, p) for e1 in e1s])
 
@@ -178,10 +173,9 @@ def closed_zbar_m6(r: int, p: int) -> QLaurent:
 def closed_strata_m6(r: int) -> StrataTable:
     """Stratum table at e2 = 1 for the same module, swept from the closed
     column ``closed_gr_m6``, which vanishes past e1 = r - 1."""
-    _check_r(r)
-    d1 = r**3 - 2 * r
+    d1, d2 = dim_vector(r, 6)
     column = [closed_gr_m6(r, e1) for e1 in range(r)]
-    return StrataTable(1, d1, r**2 - 1, *_strata(column, d1))
+    return StrataTable(1, d1, d2, *_strata(column, d1))
 
 
 def euler_char(poly: QLaurent) -> int:

@@ -11,11 +11,9 @@ x^a y^b lands on q^((a-b)/2) * X1^a * X2^b.
 
 from __future__ import annotations
 
-import math
-
 from .errors import DivisionFailed, InvalidParameter
-from .qlaurent import (ONE, QLaurent, _decode, _digit_width, _max_coeff, _mul_packed_pairs,
-                       _mul_terms, _offset_gcd, _OffStride, _packed, _power, _twisted)
+from .qlaurent import (ONE, QLaurent, _divide_packed, _json_field, _max_coeff, _mul_terms,
+                       _offset_gcd, _power)
 
 
 class TorusElement:
@@ -163,8 +161,9 @@ class TorusElement:
     @classmethod
     def from_obj(cls, obj) -> "TorusElement":
         return cls(
-            ((int(e["x1"]), int(e["x2"])), QLaurent.from_obj(e["coeff"]))
-            for e in obj["terms"]
+            ((_json_field(e, "x1"), _json_field(e, "x2")),
+             QLaurent.from_obj(_json_field(e, "coeff", dict)))
+            for e in _json_field(obj, "terms", list)
         )
 
 
@@ -231,51 +230,3 @@ def left_divide(d: TorusElement, n: TorusElement) -> TorusElement:
     while quot is None:
         quot, bound, g = _divide_packed(dt, nt, box, bound, g)
     return TorusElement._raw(quot)
-
-
-def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
-    """One run of ``left_divide`` on term maps with a packed remainder: an
-    entry [value, lo, hi] per key, all at stride g and one digit width.  Each
-    step decodes the leading entry (the quotient term up to a unit) and
-    subtracts the other divisor terms times it with the kernel's packed pair
-    loop, one big-integer product per divisor term.  While every
-    quotient coefficient is at most ``bound``, a remainder digit is a digit
-    of n minus at most |d| digits of size maxc(d) * bound * maxnnz(d), so by
-    induction every decode is exact.  Returns (quotient, bound, g); the
-    quotient is None when a quotient coefficient exceeds the bound (which
-    is then at least doubled) or a sum lands off the stride (g shrinks).
-    """
-    (ad, bd), cd = max(d.items())
-    ((kd2, sign),) = cd.items()
-    nnz = max(map(len, d.values()))
-    width = _digit_width(_max_coeff(n) + len(d) * _max_coeff(d) * bound * nnz)
-    rem = {key: _packed(c, width, g) for key, c in n.items()}
-    # -d / sign without its leading term, whose product just cancels the popped entry
-    terms = {key: _packed({k: -sign * v for k, v in c.items()}, width, g)
-             for key, c in d.items() if key != (ad, bd)}
-    amin, amax, bmin, bmax = box
-    quot: dict = {}
-    for _ in range((amax - amin + 1) * (bmax - bmin + 1) + 1):
-        if not rem:
-            return quot, bound, g
-        an, bn = max(rem)
-        az, bz = an - ad, bn - bd
-        if not (amin <= az <= amax and bmin <= bz <= bmax):
-            raise DivisionFailed(f"quotient term X1^{az} X2^{bz} escapes the support box")
-        if (az, bz) in quot:
-            raise AssertionError("duplicate quotient exponent in left_divide")
-        # cd * q^(-bd*az) * cz = cn  =>  cz = cn * q^(bd*az) / cd
-        val, lo, hi = rem.pop((an, bn))
-        sh = 2 * bd * az - kd2
-        lo, hi = lo + sh, hi + sh
-        cz = _decode((val if sign > 0 else -val, lo, hi), width, g)
-        top = max(map(abs, cz.values()))
-        if top > bound:
-            return None, max(2 * bound, top), g
-        quot[(az, bz)] = QLaurent._raw(cz)
-        z = {(az, bz): (val, lo, hi)}
-        try:
-            _mul_packed_pairs(rem, terms, z, _twisted(terms, z), g, 8 * width)
-        except _OffStride as off:
-            return None, bound, math.gcd(g, off.args[0])
-    raise DivisionFailed("division did not terminate within the support box")

@@ -14,7 +14,7 @@ import random
 from . import cluster, families, fforacle, strata
 from .dyck import Color, build_dyck, classify
 from .errors import InvalidParameter
-from .qlaurent import ONE, ZERO, QLaurent, c_sequence, mat_mul, q_binomial
+from .qlaurent import ONE, ZERO, QLaurent, c_sequence, dim_vector, mat_mul, q_binomial
 from .records import Record
 from .torus import TorusElement, left_divide, word_to_torus
 
@@ -238,7 +238,7 @@ def _expected_end_color(r: int, l: int):
 def suite_colors():
     for r in (3, 4, 5):
         path = build_dyck(r, 6)
-        top = r * r - 1
+        top = path.height
         ok = True
         for l in range(1, top):
             expect = _expected_end_color(r, l)
@@ -251,8 +251,7 @@ def suite_colors():
 def suite_shadow():
     for r, n in ((2, 5), (3, 5)):
         path = build_dyck(r, n)
-        big = c_sequence(r, n - 1)
-        small = c_sequence(r, n - 2)
+        big, small = dim_vector(r, n)
         ok = True
         count = 0
         for fam in families.enumerate_families(path):
@@ -320,20 +319,14 @@ def suite_ffstrata():
                 if via_zp != target or via_z != target:
                     ok_fwd = False
         ok_cum = True
-        for s in range(0, d2 + 1):
-            for p0 in range(0, d1 + 1):
-                tail = sum(
-                    fforacle.count_strata(mod, "zp", pp, s) for pp in range(p0, d1 + 1)
-                )
-                if fforacle.count_strata(mod, "zpbar", p0, s) != tail:
-                    ok_cum = False
-        for s in range(0, d1 + 1):
-            for p0 in range(0, d2 + 1):
-                tail = sum(
-                    fforacle.count_strata(mod, "z", pp, s) for pp in range(p0, d2 + 1)
-                )
-                if fforacle.count_strata(mod, "zbar", p0, s) != tail:
-                    ok_cum = False
+        # (open side, closed side, largest s, largest parameter): preimage, then image
+        for side, closed, top_s, top_p in (("zp", "zpbar", d2, d1), ("z", "zbar", d1, d2)):
+            for s in range(top_s + 1):
+                for p0 in range(top_p + 1):
+                    tail = sum(fforacle.count_strata(mod, side, pp, s)
+                               for pp in range(p0, top_p + 1))
+                    if fforacle.count_strata(mod, closed, p0, s) != tail:
+                        ok_cum = False
         yield f"stratified sums rebuild counts, (r={r}, n={n}, p={p})", ok_fwd
         yield f"closed strata are tail sums, (r={r}, n={n}, p={p})", ok_cum
 

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -284,10 +285,14 @@ def test_output_determinism(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child finds qkron where this process did, installed or not
+    src = str(Path(verify.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
         [sys.executable, "-m", "qkron", "cn", "--r", "3", "--n", "4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0 and proc.stdout == "8\n"
 

@@ -10,6 +10,7 @@ from qkron.cluster import (
 )
 from qkron.errors import BudgetExceeded, InvalidParameter
 from qkron.qlaurent import ONE, QLaurent, c_sequence, q
+from qkron.strata import closed_gr_m6
 from qkron.torus import TorusElement, left_divide
 
 
@@ -98,6 +99,33 @@ def test_chain_deeper_than_the_recursion_limit_is_refused():
         xvar_recursive(2, 3000)
     for r, x5 in refs.items():
         assert xvar_recursive(r, 5) is x5
+
+
+def _check_euler_form(r, d, e, poly):
+    """P_e != 0 exactly when <e, d - e> >= 0, and then P_e is palindromic of
+    degree <e, d - e> with every coefficient up to it positive."""
+    (d1, d2), (e1, e2) = d, e
+    k = e1 * (d1 - e1) + e2 * (d2 - e2) - r * e1 * (d2 - e2)
+    if k < 0:
+        assert not poly, (r, d, e)
+        return
+    coeffs = [poly.coeff2(2 * i) for i in range(k + 1)]
+    assert poly.num_terms() == k + 1 and min(coeffs) > 0 and coeffs == coeffs[::-1], (r, d, e)
+
+
+@pytest.mark.parametrize("r, n", [(2, 6), (2, 9), (3, 5), (3, 6), (4, 5), (5, 5), (6, 5)])
+def test_gr_table_follows_the_euler_form(r, n):
+    table = gr_table(r, n)
+    for e1 in range(table.d1 + 1):
+        for e2 in range(table.d2 + 1):
+            _check_euler_form(r, (table.d1, table.d2), (e1, e2), table.entry(e1, e2))
+
+
+def test_closed_column_follows_the_euler_form():
+    # at e = (e1, 1) on M_6 the degree is r^2 - 2 - e1^2: negative past e1 = r - 1
+    for r in range(2, 21):
+        for e1 in range(r + 2):
+            _check_euler_form(r, dim_vector(r, 6), (e1, 1), closed_gr_m6(r, e1))
 
 
 def test_dim_vector():

@@ -335,6 +335,26 @@ def test_module_json_validation():
         FFModule.from_obj({"p": 2, "r": 0, "phis": []})
 
 
+@pytest.mark.parametrize("obj", [
+    {"p": 2, "r": 1, "phis": [[[1, 0]]]},  # r outside c_sequence's domain
+    {"p": 2, "r": 2.0, "phis": [[[1, 0]], [[0, 1]]]},
+    {"p": 2, "r": "2", "phis": [[[1, 0]], [[0, 1]]]},
+    {"p": 2.0, "r": 2, "phis": [[[1, 0]], [[0, 1]]]},
+    {"p": 2, "r": 2, "phis": [[[1.5, 0]], [[0, 1]]]},  # int() would cut the entry to 1
+    {"p": 2, "r": 2, "phis": [[[1, 0]], [[0, "1"]]]},
+    {"p": 2, "r": 2, "phis": [[[1, 0]], [[0, None]]]},
+    {"p": 2, "r": 2, "phis": [[5], [6]]},
+    {"p": 2, "r": 2, "phis": [5, 6]},
+    {"p": 2, "r": 2, "phis": {"a": 1}},
+    {"r": 2, "phis": [[[1, 0]], [[0, 1]]]},
+    {"p": 2, "phis": [[[1, 0]], [[0, 1]]]},
+    {"p": 2, "r": 2},
+])
+def test_module_json_refuses_all_but_integers(obj):
+    with pytest.raises(InvalidParameter):
+        FFModule.from_obj(obj)
+
+
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("p", [2, 3])
 def test_r2_oracle_beyond_n6_matches_gr_table(p, n):

@@ -281,6 +281,24 @@ def test_packed_decode_digit_bound():
             _unpack(1 + top * 256**3, 3, 4, 1)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_decode_reads_only_live_digits(monkeypatch, sign):
+    import qkron.qlaurent as qlmod
+
+    # (1 + 2q + 3q^2) + (-3q^2): the top digit cancels but hi stays at q^2
+    width, g, acc = 1, 2, {}
+    for t in ({0: 1, 2: 2, 4: 3}, {4: -3}):
+        val, lo, hi = qlmod._packed({k: sign * c for k, c in t.items()}, width, g)
+        qlmod._add_aligned(acc, 0, val, lo, hi, g, 8 * width)
+    val, lo, hi = acc[0]
+    assert (lo, hi) == (0, 4)
+    lengths, unpack = [], qlmod._unpack
+    monkeypatch.setattr(qlmod, "_unpack", lambda *a: lengths.append(a[2]) or unpack(*a))
+    decoded = qlmod._decode(acc[0], width, g)
+    assert lengths == [2]
+    assert decoded == unpack(val, lo, 3, width, g) == {0: sign, 2: 2 * sign}
+
+
 def test_strided_pack_roundtrip_and_digit_bound():
     from qkron.qlaurent import _pack, _unpack
 
@@ -348,6 +366,33 @@ def test_json_roundtrip():
     obj = p.to_obj()
     assert obj["coeffs"][0] == {"q2": -3, "c": "12345678901234567890"}
     assert QLaurent.from_obj(obj) == p
+
+
+@pytest.mark.parametrize("obj", [
+    {"coeffs": [{"q2": 1.5, "c": "2"}]},  # int() would cut the exponent to 1
+    {"coeffs": [{"q2": True, "c": "2"}]},
+    {"coeffs": [{"q2": "1", "c": "2"}]},  # exponents are JSON integers only
+    {"coeffs": [{"q2": 1, "c": 2.0}]},
+    {"coeffs": [{"q2": 1, "c": "2.5"}]},
+    {"coeffs": [{"q2": 1, "c": "1_000"}]},
+    {"coeffs": [{"q2": 1, "c": " 7"}]},
+    {"coeffs": [{"q2": 1, "c": "-"}]},
+    {"coeffs": [{"q2": 1, "c": "x"}]},
+    {"coeffs": [{"c": "2"}]},
+    {"coeffs": {"q2": 1, "c": "2"}},
+    {"coeffs": [5]},
+    {},
+    [],
+    None,
+])
+def test_from_obj_refuses_all_but_integers(obj):
+    with pytest.raises(InvalidParameter):
+        QLaurent.from_obj(obj)
+
+
+def test_from_obj_reads_int_and_decimal_coefficients():
+    obj = {"coeffs": [{"q2": -1, "c": -7}, {"q2": 4, "c": "-12345678901234567890"}]}
+    assert QLaurent.from_obj(obj) == QLaurent({-1: -7, 4: -12345678901234567890})
 
 
 def test_constants_hash_as_their_ints():

@@ -131,6 +131,22 @@ def test_json_roundtrip():
     assert TorusElement.from_obj(obj) == e
 
 
+@pytest.mark.parametrize("obj", [
+    {"terms": [{"x1": 1.5, "x2": 0, "coeff": ONE.to_obj()}]},
+    {"terms": [{"x1": 1, "x2": "0", "coeff": ONE.to_obj()}]},
+    {"terms": [{"x1": False, "x2": 0, "coeff": ONE.to_obj()}]},
+    {"terms": [{"x1": 1, "x2": 0, "coeff": {"coeffs": [{"q2": 0.5, "c": "1"}]}}]},
+    {"terms": [{"x1": 1, "x2": 0, "coeff": []}]},
+    {"terms": [{"x1": 1, "x2": 0}]},
+    {"terms": [{"x2": 0, "coeff": ONE.to_obj()}]},
+    {"terms": 5},
+    {},
+])
+def test_from_obj_refuses_all_but_integers(obj):
+    with pytest.raises(InvalidParameter):
+        TorusElement.from_obj(obj)
+
+
 def _bilinear(a, b):
     acc = TorusElement.zero()
     for (a1, b1), c1 in a.items():
