@@ -12,15 +12,15 @@ nonnegative coefficients, one per dimension vector of subrepresentations.
 ``gr_table`` reads them off a computed X_n and ``assemble_xvar`` is the
 exact inverse.
 
-The size of X_n follows from (r, n) alone.  With the Euler form
-<e, d-e> = e1(d1-e1) + e2(d2-e2) - r e1(d2-e2), P_e is nonzero exactly when
-<e, d-e> >= 0, and then it is palindromic of degree <e, d-e> with every
-coefficient from q^0 to that degree positive: for the rigid M_n the
-quiver Grassmannian Gr_e(M_n) is smooth projective of that dimension when
-it is nonempty (Caldero and Reineke, "On the quiver Grassmannian in the
-acyclic case", JPAA 212, 2008).  So X_n has one key per such e and
-sum (<e, d-e> + 1) coefficients; (5, 6) has 1,451 keys and 1,718,976
-coefficients.
+With the Euler form <e, d-e> = e1(d1-e1) + e2(d2-e2) - r e1(d2-e2): for the
+rigid M_n a nonempty quiver Grassmannian Gr_e(M_n) is smooth projective of
+dimension <e, d-e> (Caldero and Reineke, "On the quiver Grassmannian in the
+acyclic case", JPAA 212, 2008), so a nonzero P_e is palindromic of that
+degree with every coefficient from q^0 to it positive.  The converse, that
+P_e is nonzero whenever <e, d-e> >= 0, is not taken from that paper; it is
+checked only at the (r, n) of the Euler-form tests.  Where both hold, X_n
+has one key per such e and sum (<e, d-e> + 1) coefficients; (5, 6) has
+1,451 keys and 1,718,976 coefficients.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BudgetExceeded, ExtractionFailed
-from .qlaurent import ONE, QLaurent, c_sequence, dim_vector
+from .qlaurent import ONE, QLaurent, _check_rn, dim_vector
 from .records import Record
 from .torus import TorusElement, left_divide
 
@@ -41,7 +41,7 @@ MAX_COEFF_BITS = 1 << 22
 def xvar_recursive(r: int, n: int) -> TorusElement:
     """n-th cluster variable: X1, X2, then one exact left division per step
     of the exchange relation, from the cached X_{n-2} and X_{n-1}."""
-    c_sequence(r, n)  # checks r >= 2 and n >= 1
+    _check_rn(r, n)
     if n <= 2:
         return TorusElement.monomial(1, 0) if n == 1 else TorusElement.monomial(0, 1)
     try:
@@ -89,8 +89,8 @@ class GrTable(Record):
 
 def gr_table(r: int, n: int) -> GrTable:
     """Extract the Grassmannian polynomials of X_n from the recursion."""
+    xn = xvar_recursive(r, n)  # refuses a too-deep chain before dim_vector's O(n) steps
     d1, d2 = dim_vector(r, n)
-    xn = xvar_recursive(r, n)
     entries = {}
     for (a, b), coeff in xn.items():
         if (a + d1) % r or (b + d2) % r:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import BudgetExceeded, ConstructionFailed, InvalidParameter
-from .qlaurent import _json_field, c_sequence, dim_vector, q_binomial
+from .qlaurent import _check_rn, _json_field, dim_vector, q_binomial
 
 ALLOWED_PRIMES = (2, 3, 5)
 MAX_SUBSPACES = 2_000_000  # the largest Grassmannian a count enumerates
@@ -60,7 +60,7 @@ class FFModule(namedtuple("FFModule", "p r n d1 d2 phis")):
             raise InvalidParameter(f"p must be one of {ALLOWED_PRIMES}, got {p}")
         if not phis or not phis[0] or not phis[0][0]:
             raise InvalidParameter("module JSON must carry nonempty matrices")
-        c_sequence(r, 1)  # checks r >= 2
+        _check_rn(r, 1)
         if len(phis) != r:
             raise InvalidParameter(f"module JSON carries {len(phis)} matrices, not r = {r}")
         d2 = len(phis[0])

@@ -688,13 +688,19 @@ q = QLaurent.q_power(2)
 qh = QLaurent.q_power(1)  # q^(1/2)
 
 
-def c_sequence(r: int, n: int) -> int:
-    """n-th term of the dimension sequence c_1 = 0, c_2 = 1,
-    c_k = r*c_{k-1} - c_{k-2}."""
+def _check_rn(r: int, n: int) -> None:
+    """Refuse (r, n) outside the domain of ``c_sequence`` in constant time,
+    so that callers can check before any work."""
     if not isinstance(r, int) or r < 2:
         raise InvalidParameter(f"r must be an integer >= 2, got {r}")
     if not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"n must be an integer >= 1, got {n}")
+
+
+def c_sequence(r: int, n: int) -> int:
+    """n-th term of the dimension sequence c_1 = 0, c_2 = 1,
+    c_k = r*c_{k-1} - c_{k-2}."""
+    _check_rn(r, n)
     a, b = 0, 1  # c_1, c_2
     if n == 1:
         return a

@@ -27,7 +27,7 @@ import math
 
 from .cluster import GrTable
 from .errors import InvalidParameter
-from .qlaurent import QLaurent, _shift_add, dim_vector, mat_mul, q_binomial
+from .qlaurent import QLaurent, _check_rn, _shift_add, dim_vector, mat_mul, q_binomial
 from .records import Record
 
 
@@ -144,7 +144,7 @@ def gr_from_strata(strata: StrataTable, e1: int) -> QLaurent:
 def closed_gr_m6(r: int, e1: int) -> QLaurent:
     """Grassmannian polynomial at (e1, 1) for M_6, of dimension vector
     ``dim_vector(r, 6)``, in closed form; zero once e1 exceeds r-1."""
-    dim_vector(r, 6)  # checks r
+    _check_rn(r, 6)
     if not isinstance(e1, int) or e1 < 0:
         raise InvalidParameter(f"e1 must be a nonnegative integer, got {e1}")
     if e1 > r - 1:
@@ -162,7 +162,7 @@ def closed_gr_m6(r: int, e1: int) -> QLaurent:
 def closed_zbar_m6(r: int, p: int) -> QLaurent:
     """Closed-stratum polynomial at parameter p (second index d2 - 1) for the
     same module, in closed form valid for every r."""
-    dim_vector(r, 6)  # checks r
+    _check_rn(r, 6)
     if not isinstance(p, int) or p < 0:
         raise InvalidParameter(f"p must be a nonnegative integer, got {p}")
     # e1 runs up to d1, but closed_gr_m6 vanishes past r - 1 <= d1

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qkron import cluster
@@ -101,9 +103,20 @@ def test_chain_deeper_than_the_recursion_limit_is_refused():
         assert xvar_recursive(r, 5) is x5
 
 
+def test_deep_chain_is_refused_before_the_dimension_sequence():
+    # c_n at n = 10**5 takes O(n) big-integer steps; the checks are O(1), so
+    # both calls refuse at the recursion limit in a few milliseconds
+    for fn in (xvar_recursive, gr_table):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            fn(10, 10**5)
+        assert time.perf_counter() - start < 0.5, fn.__name__
+
+
 def _check_euler_form(r, d, e, poly):
-    """P_e != 0 exactly when <e, d - e> >= 0, and then P_e is palindromic of
-    degree <e, d - e> with every coefficient up to it positive."""
+    """P_e != 0 exactly when <e, d - e> >= 0 (checked here, not cited), and
+    then P_e is palindromic of degree <e, d - e> with every coefficient up
+    to it positive."""
     (d1, d2), (e1, e2) = d, e
     k = e1 * (d1 - e1) + e2 * (d2 - e2) - r * e1 * (d2 - e2)
     if k < 0:
