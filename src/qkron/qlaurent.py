@@ -165,9 +165,9 @@ class _OffStride(AssertionError):
 def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) -> None:
     """acc[key] += val for entries [packed value, lo, hi] on the digits lo,
     lo + step, ..., hi at base 2^bits, shifted into place by whole digits.
-    A sum of 0 drops the key; cancelled low digits are stripped so lo stays
-    the true minimum.  Raises ``_OffStride``, changing nothing, when lo is
-    off the entry's lattice."""
+    A sum of 0 drops the key.  [lo, hi] bounds the live digits from outside:
+    digits that cancel at either end stay inside the span.  Raises
+    ``_OffStride``, changing nothing, when lo is off the entry's lattice."""
     cur = acc.get(key)
     if cur is None:
         acc[key] = [val, lo, hi]
@@ -181,22 +181,19 @@ def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) ->
     else:
         cur[0] += val << (gap // step * bits)
     cur[2] = max(cur[2], hi)
-    s = cur[0]
-    if not s:
+    if not cur[0]:
         del acc[key]
-    elif gap == 0 and (zeros := ((s & -s).bit_length() - 1) // bits):
-        cur[0] = s >> (zeros * bits)  # the lowest digits cancelled
-        cur[1] += zeros * step
 
 
 def _decode(entry, width: int, g: int) -> dict:
     """The coefficient of a packed entry [value, lo, hi] at stride g.
 
-    Only the live digits are read: ``_add_aligned`` leaves hi in place when
-    top digits cancel.  Every |digit| is below a quarter of the base B (see
-    ``_digit_width``), so a top nonzero digit at index k gives |value| >
-    B^k / 2 and the bit length keeps it; an overflowed top digit keeps the
-    full length, and ``_unpack`` refuses it as before."""
+    [lo, hi] bounds the live digits from outside, so only the live top
+    digits are read and ``_unpack`` drops the zero low ones.  Every |digit|
+    is below a quarter of the base B (see ``_digit_width``), so a top
+    nonzero digit at index k gives |value| > B^k / 2 and the bit length
+    keeps it; an overflowed top digit keeps the full length, and
+    ``_unpack`` refuses it as before."""
     val, lo, hi = entry
     bits = 8 * width
     return _unpack(val, lo, min((hi - lo) // g + 1, val.bit_length() // bits + 1), width, g)
@@ -275,9 +272,8 @@ def _mul_pairs(t1: dict, t2: dict, pairs: list) -> dict:
     """The pair product {out_key: sum of q^(shift/2) t1[k1] t2[k2]} over the
     (out_key, doubled shift, k1, k2) pairs; keys that cancel are dropped.
 
-    The dict loop runs for operands averaging under 3 terms per
-    coefficient, for small work (the sum of len(t1[k1]) * len(t2[k2]) over
-    the pairs) and for spans so sparse that the packed digits would
+    The dict loop runs for small work (the sum of len(t1[k1]) * len(t2[k2])
+    over the pairs) and for spans so sparse that the packed digits would
     outnumber the work 64 to 1.  Otherwise every coefficient is packed once
     at one digit width and one stride g, each pair is one integer
     multiplication and one ``_add_aligned``, and each output key is decoded
@@ -289,8 +285,6 @@ def _mul_pairs(t1: dict, t2: dict, pairs: list) -> dict:
     digits are at most max|t1| * max|t2| * min(max nnz), so the balanced
     decode is exact.
     """
-    if sum(map(len, t1.values())) < 3 * len(t1) or sum(map(len, t2.values())) < 3 * len(t2):
-        return _mul_dicts(t1, t2, pairs)
     work = sum(len(t1[k1]) * len(t2[k2]) for _, _, k1, k2 in pairs)
     if work <= _SCHOOLBOOK_LIMIT:
         return _mul_dicts(t1, t2, pairs)
@@ -313,17 +307,13 @@ def _mul_pairs(t1: dict, t2: dict, pairs: list) -> dict:
     return {key: _decode(entry, width, g) for key, entry in acc.items()}
 
 
-def _mul_terms(t1: dict, t2: dict) -> dict:
-    """t1 * t2 for term maps keyed (a, b) under the normal-form product."""
-    return _mul_pairs(t1, t2, _twisted(t1, t2))
-
-
 def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
     """One run of ``left_divide`` on term maps with a packed remainder: an
     entry [value, lo, hi] per key, all at stride g and one digit width.  Each
-    step decodes the leading entry (the quotient term up to a unit) and
-    subtracts the other divisor terms times it with the kernel's packed pair
-    loop, one big-integer product per divisor term.  While every
+    step pops the leading entry, trims its cancelled low digits so that the
+    products it enters stay short, decodes it (the quotient term up to a
+    unit) and subtracts the other divisor terms times it with the kernel's
+    packed pair loop, one big-integer product per divisor term.  While every
     quotient coefficient is at most ``bound``, a remainder digit is a digit
     of n minus at most |d| digits of size maxc(d) * bound * maxnnz(d), so by
     induction every decode is exact.  Returns (quotient, bound, g); the
@@ -334,6 +324,7 @@ def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
     ((kd2, sign),) = cd.items()
     nnz = max(map(len, d.values()))
     width = _digit_width(_max_coeff(n) + len(d) * _max_coeff(d) * bound * nnz)
+    bits = 8 * width
     rem = {key: _packed(c, width, g) for key, c in n.items()}
     # -d / sign without its leading term, whose product just cancels the popped entry
     terms = {key: _packed({k: -sign * v for k, v in c.items()}, width, g)
@@ -351,6 +342,8 @@ def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
             raise AssertionError("duplicate quotient exponent in left_divide")
         # cd * q^(-bd*az) * cz = cn  =>  cz = cn * q^(bd*az) / cd
         val, lo, hi = rem.pop((an, bn))
+        zeros = ((val & -val).bit_length() - 1) // bits
+        val, lo = val >> zeros * bits, lo + zeros * g
         sh = 2 * bd * az - kd2
         lo, hi = lo + sh, hi + sh
         cz = _decode((val if sign > 0 else -val, lo, hi), width, g)
@@ -360,7 +353,7 @@ def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
         quot[(az, bz)] = QLaurent._raw(cz)
         z = {(az, bz): (val, lo, hi)}
         try:
-            _mul_packed_pairs(rem, terms, z, _twisted(terms, z), g, 8 * width)
+            _mul_packed_pairs(rem, terms, z, _twisted(terms, z), g, bits)
         except _OffStride as off:
             return None, bound, math.gcd(g, off.args[0])
     raise DivisionFailed("division did not terminate within the support box")

@@ -12,8 +12,8 @@ x^a y^b lands on q^((a-b)/2) * X1^a * X2^b.
 from __future__ import annotations
 
 from .errors import DivisionFailed, InvalidParameter
-from .qlaurent import (ONE, QLaurent, _divide_packed, _json_field, _max_coeff, _mul_terms,
-                       _offset_gcd, _power)
+from .qlaurent import (ONE, QLaurent, _divide_packed, _json_field, _max_coeff, _mul_pairs,
+                       _offset_gcd, _power, _twisted)
 
 
 class TorusElement:
@@ -186,9 +186,10 @@ def _terms(t: dict) -> dict:
 
 def _mul_large(t1: dict, t2: dict) -> TorusElement:
     """Normal-form product of two {(a, b): QLaurent} dicts: every torus
-    product runs here, through ``qlaurent._mul_terms``, which picks the pair
-    loop on dicts or the packed one from the operands."""
-    prod = _mul_terms(_terms(t1), _terms(t2))
+    product runs here, as ``qlaurent._mul_pairs`` over the ``_twisted``
+    pairs, which picks the loop on dicts or the packed one from the operands."""
+    t1, t2 = _terms(t1), _terms(t2)
+    prod = _mul_pairs(t1, t2, _twisted(t1, t2))
     return TorusElement._raw({key: QLaurent._raw(d) for key, d in prod.items()})
 
 

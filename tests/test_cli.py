@@ -58,6 +58,38 @@ def test_families_budget(capsys):
     assert "BudgetExceeded" in err
 
 
+def _refusal_stubs(monkeypatch, module):
+    """Make one check of the module refuse: a gr_table source with
+    non-integral indices, a module whose every candidate fails
+    certification, or two green labels with distinct windows at every
+    offset (the caches that would skip classify are cleared)."""
+    from qkron import cluster, dyck, families, fforacle
+    from qkron.torus import TorusElement
+
+    if module == "cluster":
+        monkeypatch.setattr(cluster, "xvar_recursive", lambda r, n: TorusElement.monomial(1, 1))
+    elif module == "fforacle":
+        monkeypatch.setattr(fforacle, "end_dim", lambda mod: 2)
+    else:
+        labels = [(3, w, d, w) for d in range(1, 64) for w in (1, 2)]
+        monkeypatch.setattr(dyck, "green_labels", lambda r, n: labels)
+        for fn in (families.path_elements, families._dp_tables, families._expand):
+            fn.cache_clear()
+
+
+@pytest.mark.parametrize("module, argv, code, error", [
+    ("cluster", ["grtable", "--r", "2", "--n", "4"], 11, "ExtractionFailed"),
+    ("fforacle", ["ffcount", "--p", "2", "--r", "2", "--n", "6", "--e1", "1", "--e2", "1"],
+     12, "ConstructionFailed"),
+    ("dyck", ["families", "--r", "3", "--n", "5"], 8, "AmbiguousGreenLabel"),
+])
+def test_refusals_exit_codes(capsys, monkeypatch, module, argv, code, error):
+    _refusal_stubs(monkeypatch, module)
+    got, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert got == code and error in err
+    assert json.loads(out)["error"] == error
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,7 +10,7 @@ from qkron.cluster import (
     gr_table,
     xvar_recursive,
 )
-from qkron.errors import BudgetExceeded, InvalidParameter
+from qkron.errors import BudgetExceeded, ExtractionFailed, InvalidParameter
 from qkron.qlaurent import ONE, QLaurent, c_sequence, q
 from qkron.strata import closed_gr_m6
 from qkron.torus import TorusElement, left_divide
@@ -196,3 +196,18 @@ def test_table_json_shape():
         (1, 1),
         (2, 1),
     ]
+
+
+# At (2, 4), d = (2, 1): X1^a X2^b has e2 = 1 - (a + 2) / 2 and e1 = (b + 1) / 2,
+# and the entry (0, 1) sits at X1^-2 X2^-1 with prefactor q^-1.
+@pytest.mark.parametrize("terms, match", [
+    ({(1, 1): ONE}, "non-integral indices"),
+    ({(-4, -1): ONE}, "outside the box"),
+    ({(-2, -1): ONE}, "not a polynomial in q\\^2"),
+    ({(-2, -1): QLaurent.q_power(-2, -1)}, "negative coefficient"),
+    ({(-2, -1): QLaurent.q_power(-2)}, "corner entries"),
+])
+def test_gr_table_refuses_what_it_cannot_extract(monkeypatch, terms, match):
+    monkeypatch.setattr(cluster, "xvar_recursive", lambda r, n: TorusElement(terms))
+    with pytest.raises(ExtractionFailed, match=match):
+        gr_table(2, 4)

@@ -1,7 +1,8 @@
 import pytest
 
+from qkron import dyck
 from qkron.dyck import Color, build_dyck, classify, render_ascii, slope_exceeds
-from qkron.errors import IndexOutOfRange, InvalidParameter
+from qkron.errors import AmbiguousGreenLabel, IndexOutOfRange, InvalidParameter
 from qkron.qlaurent import c_sequence
 
 
@@ -109,3 +110,13 @@ def test_render_smoke():
     assert art.count("|") == 3
     assert art.count("_") == 5
     assert "v1=(2, 1)" in art
+
+
+@pytest.mark.parametrize("r, n, i, k", [(3, 5, 1, 3), (3, 5, 2, 3), (4, 5, 2, 4)])
+def test_classify_refuses_an_offset_with_two_windows(monkeypatch, r, n, i, k):
+    # two labels at the offset t0 - i of the first chord past the slope
+    path = build_dyck(r, n)
+    delta = next(t for t in range(i + 1, k + 1) if slope_exceeds(path, i, t)) - i
+    monkeypatch.setattr(dyck, "green_labels", lambda r, n: [(3, 1, delta, 1), (4, 1, delta, 2)])
+    with pytest.raises(AmbiguousGreenLabel, match="distinct windows"):
+        classify(path, i, k)

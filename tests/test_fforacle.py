@@ -5,7 +5,7 @@ import pytest
 
 from qkron import fforacle
 from qkron.cluster import gr_table
-from qkron.errors import BudgetExceeded, InvalidParameter
+from qkron.errors import BudgetExceeded, ConstructionFailed, InvalidParameter
 from qkron.fforacle import (
     _BYTE_MOD,
     ALLOWED_PRIMES,
@@ -56,6 +56,14 @@ def test_build_validation():
         build_module(2, 3, 7)
     with pytest.raises(InvalidParameter):
         build_module(2, 2, 3)
+
+
+@pytest.mark.parametrize("p, r, n", [(2, 2, 4), (3, 2, 6), (2, 3, 5)])
+def test_build_module_refuses_when_no_candidate_certifies(monkeypatch, p, r, n):
+    # the one explicit candidate, and every seeded draw, fail certification
+    monkeypatch.setattr(fforacle, "end_dim", lambda mod: 2)
+    with pytest.raises(ConstructionFailed, match="passed certification"):
+        build_module(p, r, n)
 
 
 def test_end_dim_detects_non_rigid():

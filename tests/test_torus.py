@@ -199,7 +199,7 @@ def test_large_product_stride_covers_accumulation_gaps():
 
 
 def test_product_kernel_accumulates_in_place():
-    from qkron.qlaurent import _mul_terms
+    from qkron.qlaurent import _mul_pairs, _twisted
     from qkron.torus import _terms
 
     # the dense pair takes the packed loop, and its two sums at X1 X2 cancel
@@ -207,11 +207,66 @@ def test_product_kernel_accumulates_in_place():
     c = QLaurent({4 * i: i + 1 for i in range(5)})
     dense = (TorusElement({(0, 1): c, (1, 0): c}), TorusElement({(1, 0): c, (0, 1): -c.shift2(-2)}))
     one_term = (TorusElement.monomial(1, 0), TorusElement.monomial(0, 1, c))
-    for a, b in (dense, one_term):
-        got = _mul_terms(_terms(a._t), _terms(b._t))
+    for a, b in (one_term, dense):
+        t1, t2 = _terms(a._t), _terms(b._t)
+        got = _mul_pairs(t1, t2, _twisted(t1, t2))
         assert TorusElement(((k, QLaurent(d)) for k, d in got.items())) == _bilinear(a, b)
         assert all(got.values())
-    assert (1, 1) not in _mul_terms(*map(_terms, (dense[0]._t, dense[1]._t)))
+    assert (1, 1) not in got  # the dense product's
+
+
+def _spy_adds(monkeypatch):
+    """Record, per ``_add_aligned`` call, whether the added value has a
+    nonzero lowest digit and whether the sum left on its key has a zero one."""
+    import qkron.qlaurent as qlmod
+
+    adds, add = [], qlmod._add_aligned
+
+    def spy(acc, key, val, lo, hi, step, bits):
+        add(acc, key, val, lo, hi, step, bits)
+        adds.append((val % (1 << bits) != 0, key in acc and acc[key][0] % (1 << bits) == 0))
+
+    monkeypatch.setattr(qlmod, "_add_aligned", spy)
+    return adds
+
+
+def test_packed_sums_that_cancel_their_lowest_digits_decode_exactly(monkeypatch):
+    from qkron.torus import _mul_large
+
+    # at X1 X2 the pairs c * c and q^-1 c * (-q c') share a base, and the sum
+    # -c * (c' - c) keeps only high digits: lo stays below the live digits
+    c = QLaurent({4 * i: i + 1 for i in range(5)})
+    c_ = c + QLaurent({40: 1, 44: 2})
+    a = TorusElement({(1, 0): c, (0, 1): c})
+    b = TorusElement({(0, 1): c, (1, 0): -c_.shift2(2)})
+    adds = _spy_adds(monkeypatch)
+    assert _mul_large(a._t, b._t) == _bilinear(a, b)
+    assert any(low_zero for _, low_zero in adds)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_left_divide_trims_the_entry_it_pops(monkeypatch, sign):
+    # n = d z has 1 + q + sign (q^4 + q^5) at X1; subtracting the top
+    # quotient term's product leaves sign (q^4 + q^5) there over two zero
+    # low digits, which the pop trims before multiplying
+    z = TorusElement({(1, 0): QLaurent({0: 1, 2: 1}), (0, 0): QLaurent({8: 1, 10: 1})})
+    d = TorusElement({(1, 0): sign, (0, 0): 1})
+    n = d * z
+    adds = _spy_adds(monkeypatch)
+    assert left_divide(d, n) == z
+    assert any(low_zero for _, low_zero in adds)
+    assert all(low_nonzero for low_nonzero, _ in adds)
+
+
+def test_one_term_coefficients_with_enough_work_take_the_packed_loop(monkeypatch):
+    from qkron.torus import _mul_large
+
+    # 10 x 10 pairs of one-term coefficients: work 100, over the dict loop's 96
+    a = TorusElement(((i, i % 3), QLaurent.q_power(i, (-1) ** i * 2**70)) for i in range(10))
+    b = TorusElement(((i % 4, i), QLaurent.q_power(3 * i, i + 1)) for i in range(10))
+    adds = _spy_adds(monkeypatch)
+    assert _mul_large(a._t, b._t) == _bilinear(a, b)
+    assert len(adds) == 100
 
 
 def _spy_pack(monkeypatch, check):
