@@ -28,9 +28,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BudgetExceeded, ExtractionFailed
-from .qlaurent import ONE, QLaurent, _check_rn, dim_vector
+from .qlaurent import (ONE, QLaurent, _add_aligned, _check_rn, _OffStride, _Packed, _split_power,
+                       dim_vector)
 from .records import Record
-from .torus import TorusElement, left_divide
+from .torus import TorusElement, _element, _mul_large, left_divide
 
 # Each recursion step is refused, and so never cached, past these sizes.
 MAX_TERMS = 500_000
@@ -40,16 +41,29 @@ MAX_COEFF_BITS = 1 << 22
 @lru_cache(maxsize=128, typed=True)
 def xvar_recursive(r: int, n: int) -> TorusElement:
     """n-th cluster variable: X1, X2, then one exact left division per step
-    of the exchange relation, from the cached X_{n-2} and X_{n-1}."""
+    of the exchange relation, from the cached X_{n-2} and X_{n-1}.  The last
+    product of the power stays packed: the 1 is added to its packed digits
+    and the division takes it without a decode.  A product that ran on the
+    dict loop, or a 1 off its stride, goes to the division decoded."""
     _check_rn(r, n)
     if n <= 2:
         return TorusElement.monomial(1, 0) if n == 1 else TorusElement.monomial(0, 1)
     try:
         prev2 = xvar_recursive(r, n - 2)
         # q^(1/2) is central: scaling X_{n-1} once gives q^(r/2) X_{n-1}^r
-        numerator = xvar_recursive(r, n - 1).scale2(1) ** r + TorusElement.one()
+        y, z = _split_power(xvar_recursive(r, n - 1).scale2(1), r)
     except RecursionError:  # raised while descending the cold chain, before any work
         raise BudgetExceeded("the uncached chain is deeper than Python's recursion limit") from None
+    numerator = _mul_large(y._t, z._t, decode=False)
+    if isinstance(numerator, _Packed):
+        try:
+            _add_aligned(numerator.terms, (0, 0), 1, 0, 0, numerator.g, 8 * numerator.width)
+            # one digit grew by 1: the bound stays at most a quarter of the base
+            numerator = numerator._replace(bound=numerator.bound + 1)
+        except _OffStride:  # nothing was added
+            numerator = _element(numerator)
+    if isinstance(numerator, TorusElement):
+        numerator = numerator + TorusElement.one()
     cur = left_divide(prev2, numerator)
     if cur.num_terms() > MAX_TERMS:
         raise BudgetExceeded(f"{cur.num_terms()} torus terms exceed the cap of {MAX_TERMS}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections import Counter
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
@@ -250,6 +250,15 @@ def _max_coeff(*ts: dict) -> int:
     return max(max(map(max, values)), -min(map(min, values)))
 
 
+def _norms(t: dict) -> dict:
+    """{key: (sum of |coefficients|, largest |coefficient|)} of a term map."""
+    out = {}
+    for key, d in t.items():
+        v = d.values()
+        out[key] = (sum(map(abs, v)), max(max(v), -min(v)))
+    return out
+
+
 def _offset_gcd(*ts: dict) -> int:
     """gcd of the exponent offsets inside the coefficients; 0 if all are one-term.
     Folds one coefficient at a time, so no tuple of every offset is built."""
@@ -268,67 +277,111 @@ def _packed(t: dict, width: int, g: int) -> list:
     return [_pack(t, lo, (hi - lo) // g + 1, width, g), lo, hi]
 
 
-def _mul_pairs(t1: dict, t2: dict, pairs: list) -> dict:
-    """The pair product {out_key: sum of q^(shift/2) t1[k1] t2[k2]} over the
-    (out_key, doubled shift, k1, k2) pairs; keys that cancel are dropped.
+def _pack_terms(t: dict, width: int, g: int) -> dict:
+    """A term map's coefficients as packed entries at one width and stride g."""
+    return {key: _packed(d, width, g) for key, d in t.items()}
 
-    The dict loop runs for small work (the sum of len(t1[k1]) * len(t2[k2])
-    over the pairs) and for spans so sparse that the packed digits would
-    outnumber the work 64 to 1.  Otherwise every coefficient is packed once
-    at one digit width and one stride g, each pair is one integer
-    multiplication and one ``_add_aligned``, and each output key is decoded
-    once.  g divides every exponent offset inside a coefficient and every
-    gap between the bases of the pairs that land on one key, so q^r
+
+# A packed term map: the entries {key: [value, lo, hi]} at stride g, each
+# digit of width bytes and of size at most bound, and bound at most a
+# quarter of the digit base, so ``_decode`` is exact.
+_Packed = namedtuple("_Packed", "terms width g bound")
+
+
+def _decode_terms(p: _Packed) -> dict:
+    """The term map of a packed one, each entry decoded once."""
+    return {key: _decode(entry, p.width, p.g) for key, entry in p.terms.items()}
+
+
+def _mul_packed(t1: dict, t2: dict, pairs: list):
+    """The pair product on packed coefficients as a ``_Packed`` term map,
+    or None when the dict loop should run: for small work (the sum of
+    len(t1[k1]) * len(t2[k2]) over the pairs) and for spans so sparse that
+    the packed digits would outnumber the work 64 to 1.
+
+    Every coefficient is packed once at one digit width and one stride g,
+    and each pair is one integer multiplication and one ``_add_aligned``.
+    g divides every exponent offset inside a coefficient and every gap
+    between the bases of the pairs that land on one key, so q^r
     coefficients take r times fewer digits and no sum lands off the stride
-    (an ``_OffStride`` here fails as an assertion).  An output digit sums at
-    most fanin pair products, fanin being the most pairs on one key, whose
-    digits are at most max|t1| * max|t2| * min(max nnz), so the balanced
-    decode is exact.
+    (an ``_OffStride`` here fails as an assertion).  A digit of c1 * c2 is
+    at most min(|c1|_1 |c2|_inf, |c1|_inf |c2|_1), so an output digit is at
+    most the sum of that over the pairs on its key; the bound is that sum
+    on the worst key, raised to every operand's largest |coefficient|,
+    since ``mat_mul`` packs entries that no pair uses.
     """
     work = sum(len(t1[k1]) * len(t2[k2]) for _, _, k1, k2 in pairs)
     if work <= _SCHOOLBOOK_LIMIT:
-        return _mul_dicts(t1, t2, pairs)
+        return None
+    norms1 = _norms(t1)
+    norms2 = norms1 if t2 is t1 else _norms(t2)
     lo1, lo2 = ({key: min(d) for key, d in t.items()} for t in (t1, t2))
-    g, first = _offset_gcd(t1, t2), {}
+    g, first, per_key = _offset_gcd(t1, t2), {}, {}
     for key, sh, k1, k2 in pairs:
         base = lo1[k1] + lo2[k2] + sh
         g = math.gcd(g, base - first.setdefault(key, base))
+        s1, m1 = norms1[k1]
+        s2, m2 = norms2[k2]
+        per_key[key] = per_key.get(key, 0) + min(s1 * m2, m1 * s2)
     g = g or 1
     dig1, dig2 = ({key: (max(d) - lo[key]) // g + 1 for key, d in t.items()}
                   for t, lo in ((t1, lo1), (t2, lo2)))
     if sum(dig1[k1] * dig2[k2] for _, _, k1, k2 in pairs) > _MAX_PADDING * work:
-        return _mul_dicts(t1, t2, pairs)
-    fanin = max(Counter(key for key, _, _, _ in pairs).values())
-    nnz = min(max(map(len, t1.values())), max(map(len, t2.values())))
-    width = _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * fanin)
-    p1, p2 = ({key: _packed(d, width, g) for key, d in t.items()} for t in (t1, t2))
+        return None
+    bound = max(*per_key.values(), *(m for _, m in norms1.values()),
+                *(m for _, m in norms2.values()))
+    width = _digit_width(bound)
+    p1 = _pack_terms(t1, width, g)
+    p2 = p1 if t2 is t1 else _pack_terms(t2, width, g)
     acc: dict = {}
     _mul_packed_pairs(acc, p1, p2, pairs, g, 8 * width)
-    return {key: _decode(entry, width, g) for key, entry in acc.items()}
+    return _Packed(acc, width, g, bound)
 
 
-def _divide_packed(d: dict, n: dict, box, bound: int, g: int):
-    """One run of ``left_divide`` on term maps with a packed remainder: an
-    entry [value, lo, hi] per key, all at stride g and one digit width.  Each
-    step pops the leading entry, trims its cancelled low digits so that the
-    products it enters stay short, decodes it (the quotient term up to a
-    unit) and subtracts the other divisor terms times it with the kernel's
-    packed pair loop, one big-integer product per divisor term.  While every
-    quotient coefficient is at most ``bound``, a remainder digit is a digit
-    of n minus at most |d| digits of size maxc(d) * bound * maxnnz(d), so by
-    induction every decode is exact.  Returns (quotient, bound, g); the
-    quotient is None when a quotient coefficient exceeds the bound (which
-    is then at least doubled) or a sum lands off the stride (g shrinks).
+def _mul_pairs(t1: dict, t2: dict, pairs: list, decode: bool = True):
+    """The pair product {out_key: sum of q^(shift/2) t1[k1] t2[k2]} over the
+    (out_key, doubled shift, k1, k2) pairs; keys that cancel are dropped.
+    The dict loop or the packed one (see ``_mul_packed``) runs; with decode
+    false, a product that ran packed is returned as its ``_Packed`` map."""
+    prod = _mul_packed(t1, t2, pairs)
+    if prod is None:
+        return _mul_dicts(t1, t2, pairs)
+    return _decode_terms(prod) if decode else prod
+
+
+def _division_width(d: dict, nbound: int, bound: int) -> int:
+    """The digit width of a division run of n by d whose digits of n are at
+    most nbound and whose quotient coefficients are at most bound."""
+    return _digit_width(nbound + len(d) * _max_coeff(d) * bound * max(map(len, d.values())))
+
+
+def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
+    """One run of ``left_divide`` of the packed term map n by the term map d,
+    with a packed remainder: an entry [value, lo, hi] per key, all at stride
+    g and one digit width.  The run copies n's entries, and repacks them
+    (decode, then pack) only when it needs a wider digit or a finer stride
+    than n carries.  Each step pops the leading entry, trims its cancelled
+    low digits so that the products it enters stay short, decodes it (the
+    quotient term up to a unit) and subtracts the other divisor terms times
+    it with the kernel's packed pair loop, one big-integer product per
+    divisor term.  While every quotient coefficient is at most ``bound``, a
+    remainder digit is a digit of n (at most n.bound) minus at most |d|
+    digits of size maxc(d) * bound * maxnnz(d), so by induction every decode
+    is exact.  Returns (quotient, bound, g); the quotient is None when a
+    quotient coefficient exceeds the bound (which is then at least doubled)
+    or a sum lands off the stride (g shrinks).
     """
     (ad, bd), cd = max(d.items())
     ((kd2, sign),) = cd.items()
-    nnz = max(map(len, d.values()))
-    width = _digit_width(_max_coeff(n) + len(d) * _max_coeff(d) * bound * nnz)
+    width = max(n.width, _division_width(d, n.bound, bound))
     bits = 8 * width
-    rem = {key: _packed(c, width, g) for key, c in n.items()}
+    if (width, g) == (n.width, n.g):
+        rem = {key: entry.copy() for key, entry in n.terms.items()}
+    else:
+        rem = _pack_terms(_decode_terms(n), width, g)
     # -d / sign without its leading term, whose product just cancels the popped entry
-    terms = {key: _packed({k: -sign * v for k, v in c.items()}, width, g)
-             for key, c in d.items() if key != (ad, bd)}
+    terms = _pack_terms({key: {k: -sign * v for k, v in c.items()}
+                         for key, c in d.items() if key != (ad, bd)}, width, g)
     amin, amax, bmin, bmax = box
     quot: dict = {}
     for _ in range((amax - amin + 1) * (bmax - bmin + 1) + 1):
@@ -376,15 +429,27 @@ def mat_mul(a: list, b: list) -> list:
             for i in range(len(a))]
 
 
-def _power(x, e: int, out):
-    """out * x**e by repeated squaring, for e >= 0 (checked by the caller)."""
-    while e:
+def _power(x, e: int, one):
+    """x**e by repeated squaring, for e >= 0 (checked by the caller); one is
+    the unit, returned for e = 0."""
+    if e < 2:
+        return x if e else one
+    y, z = _split_power(x, e)
+    return y * z
+
+
+def _split_power(x, e: int):
+    """(y, z) with y * z = x**e, for e >= 2: the squaring chain of x**e
+    without its last product, so y = x^(e - 2^k) and z = x^(2^k) for the
+    top bit 2^k of e, or y = z = x^(e/2) when e is a power of two."""
+    out = None
+    while True:
         if e & 1:
-            out = out * x
-        if e > 1:
-            x = x * x
+            out = x if out is None else out * x
         e >>= 1
-    return out
+        if e == 1:
+            return (x, x) if out is None else (out, x * x)
+        x = x * x
 
 
 class QLaurent:

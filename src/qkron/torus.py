@@ -11,9 +11,11 @@ x^a y^b lands on q^((a-b)/2) * X1^a * X2^b.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DivisionFailed, InvalidParameter
-from .qlaurent import (ONE, QLaurent, _divide_packed, _json_field, _max_coeff, _mul_pairs,
-                       _offset_gcd, _power, _twisted)
+from .qlaurent import (ONE, QLaurent, _decode_terms, _divide_packed, _division_width, _json_field,
+                       _max_coeff, _mul_pairs, _offset_gcd, _pack_terms, _Packed, _power, _twisted)
 
 
 class TorusElement:
@@ -184,13 +186,24 @@ def _terms(t: dict) -> dict:
     return {key: c._t for key, c in t.items()}
 
 
-def _mul_large(t1: dict, t2: dict) -> TorusElement:
+def _element(prod) -> TorusElement:
+    """The TorusElement of a term map, a packed one (``_Packed``) decoded."""
+    if isinstance(prod, _Packed):
+        prod = _decode_terms(prod)
+    return TorusElement._raw({key: QLaurent._raw(d) for key, d in prod.items()})
+
+
+def _mul_large(t1: dict, t2: dict, decode: bool = True):
     """Normal-form product of two {(a, b): QLaurent} dicts: every torus
     product runs here, as ``qlaurent._mul_pairs`` over the ``_twisted``
-    pairs, which picks the loop on dicts or the packed one from the operands."""
-    t1, t2 = _terms(t1), _terms(t2)
-    prod = _mul_pairs(t1, t2, _twisted(t1, t2))
-    return TorusElement._raw({key: QLaurent._raw(d) for key, d in prod.items()})
+    pairs, which picks the loop on dicts or the packed one from the operands.
+    With decode false, a product that ran packed is returned as its
+    ``_Packed`` term map, which ``left_divide`` takes as it is."""
+    same = t1 is t2
+    t1 = _terms(t1)
+    t2 = t1 if same else _terms(t2)
+    prod = _mul_pairs(t1, t2, _twisted(t1, t2), decode)
+    return prod if isinstance(prod, _Packed) else _element(prod)
 
 
 X1 = TorusElement.monomial(1, 0)
@@ -202,7 +215,7 @@ def word_to_torus(a: int, b: int) -> TorusElement:
     return TorusElement.monomial(a, b, QLaurent.q_power(a - b))
 
 
-def left_divide(d: TorusElement, n: TorusElement) -> TorusElement:
+def left_divide(d: TorusElement, n) -> TorusElement:
     """Solve d * Z = n exactly in the torus algebra.
 
     Greedy division in lexicographic order on exponent pairs (X1 first).  The
@@ -211,23 +224,35 @@ def left_divide(d: TorusElement, n: TorusElement) -> TorusElement:
     divisor's lex-leading coefficient must be a unit (+-q^(k/2)); quotient
     exponents must stay inside the box [min(n)-max(d), max(n)-min(d)]
     componentwise, which bounds the loop and certifies failure otherwise.
+    n is a TorusElement, packed here once with its largest |coefficient| as
+    the first bound, or a packed term map (``_Packed``, as ``_mul_large``
+    returns it with decode false), taken as it is with its digit bound.
     The remainder stays packed (see ``_divide_packed``); a run that cannot
     prove its decodes exact is repeated with a larger bound or finer stride.
     """
-    if not isinstance(d, TorusElement) or not isinstance(n, TorusElement):
+    packed = isinstance(n, _Packed)
+    if not isinstance(d, TorusElement) or not (packed or isinstance(n, TorusElement)):
         raise InvalidParameter("left_divide expects torus elements")
     if not d:
         raise InvalidParameter("left division by zero")
-    if not n:
+    nkeys = n.terms if packed else n._t
+    if not nkeys:
         return TorusElement.zero()
     _, cd = d.lex_leading()
     if cd.num_terms() != 1 or cd.items2()[0][1] not in (1, -1):
         raise DivisionFailed("divisor lex-leading coefficient is not a unit")
 
-    (na, nb), (da, db) = zip(*n._t), zip(*d._t)
+    (na, nb), (da, db) = zip(*nkeys), zip(*d._t)
     box = (min(na) - max(da), max(na) - min(da), min(nb) - max(db), max(nb) - min(db))
-    dt, nt = _terms(d._t), _terms(n._t)
-    quot, bound, g = None, _max_coeff(nt), _offset_gcd(dt, nt) or 1
+    dt = _terms(d._t)
+    if packed:
+        bound, g = n.bound, math.gcd(_offset_gcd(dt), n.g)
+    else:
+        nt = _terms(n._t)
+        bound, g = _max_coeff(nt), _offset_gcd(dt, nt) or 1
+        width = _division_width(dt, bound, bound)
+        n = _Packed(_pack_terms(nt, width, g), width, g, bound)
+    quot = None
     while quot is None:
-        quot, bound, g = _divide_packed(dt, nt, box, bound, g)
+        quot, bound, g = _divide_packed(dt, n, box, bound, g)
     return TorusElement._raw(quot)

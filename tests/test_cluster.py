@@ -62,6 +62,69 @@ def _spy_divisions(monkeypatch):
     return calls
 
 
+TRIO = [(7, 5), (6, 5), (3, 6)]
+
+
+@pytest.mark.parametrize("r, n", [*TRIO, (2, 8), (4, 5)])
+def test_step_equals_the_division_of_the_power_plus_one(r, n):
+    # r = 2 and r = 4 split the power into two equal halves, r = 3, 6, 7 not
+    x = xvar_recursive(r, n - 1).scale2(1)
+    want = left_divide(xvar_recursive(r, n - 2), x**r + TorusElement.one())
+    assert xvar_recursive(r, n) == want
+
+
+def test_the_numerator_reaches_the_division_packed_and_undecoded(monkeypatch):
+    import qkron.qlaurent as qlmod
+
+    events, unpack, mul = [], qlmod._unpack, cluster._mul_large
+
+    def product(*args, **kwargs):
+        events.append("product")
+        out = mul(*args, **kwargs)
+        events.append(type(out).__name__)
+        return out
+
+    monkeypatch.setattr(qlmod, "_unpack", lambda *a: events.append("decode") or unpack(*a))
+    monkeypatch.setattr(cluster, "_mul_large", product)
+    calls = _spy_divisions(monkeypatch)
+    spy = cluster.left_divide
+    monkeypatch.setattr(cluster, "left_divide", lambda d, n: events.append("divide") or spy(d, n))
+    xvar_recursive.cache_clear()
+    for r, n in TRIO:
+        gr_table(r, n)
+        # the last step's product runs packed and reaches the division packed
+        assert isinstance(calls[-1], qlmod._Packed)
+    divides = [i for i, e in enumerate(events) if e == "divide"]
+    assert len(divides) == len(calls)
+    for i in divides:
+        # nothing is decoded from the product's return to the division
+        assert events[i - 2] == "product" and events[i - 1] in ("_Packed", "TorusElement")
+    assert events.count("_Packed") == sum(isinstance(c, qlmod._Packed) for c in calls) > 0
+
+
+@pytest.mark.parametrize("fallback", ["dict loop", "off stride"])
+def test_the_step_falls_back_to_a_decoded_numerator(monkeypatch, fallback):
+    import qkron.qlaurent as qlmod
+
+    pairs = TRIO[1:]  # (7, 5) on the dict loop alone takes seconds
+    xvar_recursive.cache_clear()
+    want = [xvar_recursive(r, n) for r, n in pairs]
+    if fallback == "dict loop":
+        monkeypatch.setattr(qlmod, "_SCHOOLBOOK_LIMIT", 10**9)
+    else:
+        def off(*args):
+            raise qlmod._OffStride(1)
+
+        monkeypatch.setattr(cluster, "_add_aligned", off)
+    calls = _spy_divisions(monkeypatch)
+    xvar_recursive.cache_clear()
+    try:
+        assert [xvar_recursive(r, n) for r, n in pairs] == want
+    finally:
+        xvar_recursive.cache_clear()
+    assert calls and all(isinstance(n, TorusElement) for n in calls)
+
+
 def test_invalid_parameters(monkeypatch):
     with pytest.raises(InvalidParameter):
         xvar_recursive(1, 4)

@@ -202,6 +202,17 @@ def test_offset_gcd_folds_each_coefficient(coeffs):
     assert _max_coeff(t, {0: {0: 1}}) == max([1, *(abs(c) for d in coeffs for c in d.values())])
 
 
+def test_split_power_stops_before_the_last_product():
+    from qkron.qlaurent import _split_power
+
+    x = 1 + q + 2 * q**3
+    for e in range(2, 17):
+        y, z = _split_power(x, e)
+        top = 1 << (e.bit_length() - 1)
+        low = e // 2 if e == top else e - top
+        assert (y, z) == (x**low, x ** (e - low)) and y * z == x**e
+
+
 def test_mat_mul_leaves_sparse_spans_unpadded(monkeypatch):
     import qkron.qlaurent as qlmod
 

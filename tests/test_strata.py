@@ -77,6 +77,15 @@ def test_mat_mul_packs_wide_digits(monkeypatch):
     assert widths and min(widths) > 8  # the byte-wise codec, not the lanes
 
 
+def test_mat_mul_packs_entries_that_no_pair_uses():
+    # a's largest entry sits in column 1, and row 1 of b is empty: no pair
+    # uses it, but it is packed beside the others at the products' width
+    dense = q_binomial(12, 6)
+    a = [[dense, dense.scale(2**70)], [dense.shift2(1), ONE]]
+    b = [[dense, dense.shift2(-2)], [QLaurent.zero(), QLaurent.zero()]]
+    assert mat_mul(a, b) == _matmul(a, b)
+
+
 def test_mat_mul_shapes():
     with pytest.raises(InvalidParameter):
         mat_mul([[ONE, ONE]], [[ONE]])

@@ -215,6 +215,57 @@ def test_product_kernel_accumulates_in_place():
     assert (1, 1) not in got  # the dense product's
 
 
+def _old_width(t1, t2, pairs):
+    """The digit width of the former rule, max|t1| max|t2| min(max nnz) fanin."""
+    from collections import Counter
+
+    from qkron.qlaurent import _digit_width, _max_coeff
+
+    fanin = max(Counter(key for key, _, _, _ in pairs).values())
+    nnz = min(max(map(len, t1.values())), max(map(len, t2.values())))
+    return _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * fanin)
+
+
+def _spy_widths(monkeypatch):
+    """Record (width, former rule's width) of every packed pair product."""
+    import qkron.qlaurent as qlmod
+
+    widths, mul = [], qlmod._mul_packed
+
+    def spy(t1, t2, pairs):
+        out = mul(t1, t2, pairs)
+        if out is not None:
+            widths.append((out.width, _old_width(t1, t2, pairs)))
+        return out
+
+    monkeypatch.setattr(qlmod, "_mul_packed", spy)
+    return widths
+
+
+def test_per_key_bound_narrows_digits_where_large_coefficients_never_meet(monkeypatch):
+    # the 2^60 coefficient meets only the 40-term +-1 coefficients, whose
+    # sum of |c| is 40, so every output digit is at most 2^60; the former
+    # rule took 2^60 * 1 * 40 terms * 2 pairs on X1 X2, a ninth byte
+    widths = _spy_widths(monkeypatch)
+    p = QLaurent({2 * i: (-1) ** (i // 3) for i in range(40)})
+    a = TorusElement({(0, 0): QLaurent.const(-(2**60)), (1, 0): p})
+    b = TorusElement({(0, 0): p, (0, 1): p.shift2(2), (1, 1): -p})
+    got = a * b
+    assert widths == [(8, 9)]
+    assert got == _bilinear(a, b)
+
+
+def test_recursion_widths_never_exceed_the_former_rule(monkeypatch):
+    from qkron.cluster import gr_table, xvar_recursive
+
+    widths = _spy_widths(monkeypatch)
+    xvar_recursive.cache_clear()
+    for r, n in ((7, 5), (6, 5), (3, 6)):
+        gr_table(r, n)
+    assert widths and all(new <= old for new, old in widths)
+    assert any(new < old for new, old in widths)  # (6, 5): 5 -> 4 bytes
+
+
 def _spy_adds(monkeypatch):
     """Record, per ``_add_aligned`` call, whether the added value has a
     nonzero lowest digit and whether the sum left on its key has a zero one."""
@@ -346,40 +397,87 @@ def test_left_divide_restarts_when_the_quotient_outgrows_n(monkeypatch):
     assert len(runs) >= 2 and bounds == sorted(bounds) and bounds[-1] >= 200
 
 
-def test_left_divide_refines_the_stride_off_the_lattice(monkeypatch):
-    # d and n have every coefficient on a q^2 lattice (doubled stride 4),
-    # but the quotient coefficient q - 1 at X1 does not: an accumulation
-    # at X1 X2 lands 2 off the remainder's lattice and the run restarts
-    runs = _spy_runs(monkeypatch)
+def _off_lattice():
+    """(d, z): d and n = d z have every coefficient on a q^2 lattice (doubled
+    stride 4), but the quotient coefficient q - 1 at X1 does not: an
+    accumulation at X1 X2 lands 2 off the remainder's lattice."""
     big = QLaurent({4 * i: i + 1 for i in range(40)})
     d = X1 + TorusElement.one() + TorusElement.monomial(0, 1, big)
     z = X1 * X1 + X1 * QLaurent({2: 1, 0: -1}) + TorusElement.one()
-    z = z - TorusElement.monomial(1, 1, big)
+    return d, z - TorusElement.monomial(1, 1, big)
+
+
+def test_left_divide_refines_the_stride_off_the_lattice(monkeypatch):
+    # the off-lattice accumulation restarts the run at stride 2
+    runs = _spy_runs(monkeypatch)
+    d, z = _off_lattice()
     assert left_divide(d, d * z) == z
     assert [g for _, g in runs] == [4, 2]
 
 
-def test_left_divide_width_covers_every_divisor_term_and_coefficient_term(monkeypatch):
-    # d = X1^25 + sum_S P X1^i and z = sum_S B*P X1^-i: the products P * B*P
-    # all meet at X1^0 and nowhere else (S has distinct differences), so n,
-    # with its X1^0 coefficient replaced by 1, keeps |coefficients| <= B.
-    # The remainder at X1^0 then reaches the half base of a width without
-    # the |d| factor (5 one-term products) or without the max-terms factor
-    # (one product of 7-term coefficients) before it is decoded.  Decoded
-    # exactly, it restarts the division with its true top coefficient as
-    # the bound, and the next quotient term escapes the box.
-    runs = _spy_runs(monkeypatch)
+def _width_cases():
+    """(d, n, B, rest): d = X1^25 + sum_S P X1^i and z = sum_S B*P X1^-i.
+    The products P * B*P all meet at X1^0 and nowhere else (S has distinct
+    differences), so n = d z, with its X1^0 coefficient replaced by 1 (rest
+    added), keeps |coefficients| <= B."""
     p7 = QLaurent({2 * i: 1 for i in range(7)})
     for big, support, p in ((8191, (0, 1, 3, 7, 12), ONE), (5461, (0,), p7)):
         d = TorusElement.monomial(25, 0) + TorusElement(((i, 0), p) for i in support)
         n = d * TorusElement(((-i, 0), p.scale(big)) for i in support)
         rest = ONE - n.coeff(0, 0)
-        n = n + TorusElement.scalar(rest)
+        yield d, n + TorusElement.scalar(rest), big, rest
+
+
+def test_left_divide_width_covers_every_divisor_term_and_coefficient_term(monkeypatch):
+    # The remainder at X1^0 reaches the half base of a width without the
+    # |d| factor (5 one-term products) or without the max-terms factor (one
+    # product of 7-term coefficients) before it is decoded.  Decoded
+    # exactly, it restarts the division with its true top coefficient as
+    # the bound, and the next quotient term escapes the box.
+    runs = _spy_runs(monkeypatch)
+    for d, n, big, rest in _width_cases():
         assert max(abs(c) for _, q_ in n.items() for _, c in q_.items2()) == big
         runs.clear()
         with pytest.raises(DivisionFailed):
             left_divide(d, n)
         assert [b for b, _ in runs] == [big, max(abs(c) for _, c in rest.items2())]
+
+
+def _packed_numerator(n, extra):
+    """n as a packed term map, the form a product hands to the division: at
+    its own stride with its largest |coefficient| as the bound, extra bytes
+    a digit wider than that bound needs."""
+    from qkron.qlaurent import _digit_width, _max_coeff, _offset_gcd, _pack_terms, _Packed
+    from qkron.torus import _terms
+
+    nt = _terms(n._t)
+    bound, g = _max_coeff(nt), _offset_gcd(nt) or 1
+    width = _digit_width(bound) + extra
+    return _Packed(_pack_terms(nt, width, g), width, g, bound)
+
+
+# extra = 0: a run that needs wider digits than n carries repacks it;
+# extra = 6: only a finer stride does
+@pytest.mark.parametrize("extra", [0, 6])
+def test_left_divide_restarts_alike_from_a_packed_numerator(monkeypatch, extra):
+    runs = _spy_runs(monkeypatch)
+    z, n = _peaked(200)
+    d, z2 = _off_lattice()
+    cases = [(X1 + TorusElement.one(), n, z), (d, d * z2, z2)]
+    cases += [(d, n, None) for d, n, _, _ in _width_cases()]
+    for d, n, z in cases:
+        seqs = []
+        for m in (n, _packed_numerator(n, extra)):
+            runs.clear()
+            if z is None:
+                with pytest.raises(DivisionFailed):
+                    left_divide(d, m)
+            else:
+                assert left_divide(d, m) == z
+            seqs.append(list(runs))
+        assert seqs[1] == seqs[0] and len(seqs[0]) >= 2
+    empty = _packed_numerator(n, extra)._replace(terms={})
+    assert left_divide(X1, empty) == TorusElement.zero()
 
 
 def test_left_divide_rejects_an_inexact_packed_division(monkeypatch):
