@@ -55,6 +55,7 @@ def xvar_recursive(r: int, n: int) -> TorusElement:
     except RecursionError:  # raised while descending the cold chain, before any work
         raise BudgetExceeded("the uncached chain is deeper than Python's recursion limit") from None
     numerator = _mul_large(y._t, z._t, decode=False)
+    del y, z  # freed before the division, where the step peaks in memory
     if isinstance(numerator, _Packed):
         try:
             _add_aligned(numerator.terms, (0, 0), 1, 0, 0, numerator.g, 8 * numerator.width)

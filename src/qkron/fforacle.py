@@ -72,8 +72,7 @@ class FFModule(namedtuple("FFModule", "p r n d1 d2 phis")):
 
 # -- exact linear algebra mod p ------------------------------------------------
 
-# b -> b mod p for every byte b, one table per prime.  A row plus a multiple
-# (at most p - 1) of another row has bytes below p(p - 1) < 256: no carries.
+# b -> b mod p for every byte b, one table per prime.
 _BYTE_MOD = {p: bytes(b % p for b in range(256)) for p in ALLOWED_PRIMES}
 
 
@@ -92,18 +91,48 @@ def _code(vector, p: int) -> int:
 def _rank(rows, p: int) -> int:
     """Rank over F_p of rows given as codes sum_j v_j 256^j, 0 <= v_j < p.
 
-    The basis is keyed by the leading byte, and each basis row is scaled
-    so that its leading digit is 1."""
+    The basis is keyed by the leading byte.  At p = 2 a clearing step is
+    one XOR.  At odd p each basis row is reduced and scaled so that its
+    leading digit is 1, and kept as its lower bytes (its tail) with their
+    mask.  A clearing step drops the leading byte of the row and adds
+    (p - lead) times the tail without reducing: it adds at most (p - 1)^2 to
+    each byte, so the row is reduced only when the next step could carry
+    past a byte, or when it joins the basis.  The leading byte is read mod
+    p, and masked away while it is a nonzero multiple of p."""
     basis: dict = {}
+    if p == 2:
+        for v in rows:
+            while v:
+                h = v.bit_length() >> 3  # a digit 1 fills 1 bit of its byte
+                w = basis.get(h)
+                if w is None:
+                    basis[h] = v
+                    break
+                v ^= w
+        return len(basis)
+    step = (p - 1) ** 2
     for v in rows:
+        top = p - 1  # every byte of v is at most top
         while v:
-            h = v.bit_length() >> 3  # a digit below 8 fills at most 3 bits of its byte
-            lead = v >> 8 * h
+            h = (v.bit_length() - 1) >> 3
+            lead = (v >> 8 * h) % p
+            if not lead:
+                v &= (1 << 8 * h) - 1
+                continue
             w = basis.get(h)
             if w is None:
-                basis[h] = v if lead == 1 else _reduce(v * pow(lead, -1, p), p)
+                if top >= p:
+                    v = _reduce(v, p)
+                if lead != 1:
+                    v = _reduce(v * pow(lead, -1, p), p)
+                low = (1 << 8 * h) - 1
+                basis[h] = v & low, low
                 break
-            v = v ^ w if p == 2 else _reduce(v + (p - lead) * w, p)
+            if top + step > 255:
+                v, top = _reduce(v, p), p - 1
+            tail, low = w
+            v = (v & low) + (p - lead) * tail
+            top += step
     return len(basis)
 
 

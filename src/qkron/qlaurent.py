@@ -214,7 +214,14 @@ def _decode(entry, width: int, g: int) -> dict:
 
 def _twisted(t1: dict, t2: dict) -> list:
     """(key, doubled shift, k1, k2) for every pair of keys: the normal form
-    (X1^a1 X2^b1)(X1^a2 X2^b2) = q^(-b1*a2) X1^(a1+a2) X2^(b1+b2)."""
+    (X1^a1 X2^b1)(X1^a2 X2^b2) = q^(-b1*a2) X1^(a1+a2) X2^(b1+b2).  For a
+    square (t2 is t1) each pair (k1, k2) is followed by its mirror (k2, k1),
+    which needs the same coefficient product (see ``_mul_packed_pairs``)."""
+    if t2 is t1:
+        keys = list(t1)
+        return [((k1[0] + k2[0], k1[1] + k2[1]), -2 * k1[1] * k2[0], k1, k2)
+                for i, a in enumerate(keys) for b in keys[i:]
+                for k1, k2 in (((a, b), (b, a)) if a is not b else ((a, a),))]
     return [((k1[0] + k2[0], k1[1] + k2[1]), -2 * k1[1] * k2[0], k1, k2)
             for k1 in t1 for k2 in t2]
 
@@ -237,11 +244,17 @@ def _mul_dicts(t1: dict, t2: dict, pairs: list) -> dict:
 
 def _mul_packed_pairs(acc: dict, p1: dict, p2: dict, pairs: list, g: int, bits: int) -> None:
     """acc += the pair product of packed entries [value, lo, hi] at stride g
-    (see ``_add_aligned``); a sum off the stride leaves acc partly updated."""
+    (see ``_add_aligned``); a sum off the stride leaves acc partly updated.
+    In a square (p2 is p1) a pair that mirrors the one before it reuses
+    that pair's product: the coefficients commute, only the twist differs."""
+    a = b = None
     for key, sh, k1, k2 in pairs:
         v1, lo1, hi1 = p1[k1]
         v2, lo2, hi2 = p2[k2]
-        _add_aligned(acc, key, v1 * v2, lo1 + lo2 + sh, hi1 + hi2 + sh, g, bits)
+        if k1 is not b or k2 is not a or p2 is not p1:
+            prod = v1 * v2
+        a, b = k1, k2
+        _add_aligned(acc, key, prod, lo1 + lo2 + sh, hi1 + hi2 + sh, g, bits)
 
 
 def _max_coeff(*ts: dict) -> int:
@@ -439,17 +452,14 @@ def _power(x, e: int, one):
 
 
 def _split_power(x, e: int):
-    """(y, z) with y * z = x**e, for e >= 2: the squaring chain of x**e
-    without its last product, so y = x^(e - 2^k) and z = x^(2^k) for the
-    top bit 2^k of e, or y = z = x^(e/2) when e is a power of two."""
-    out = None
-    while True:
-        if e & 1:
-            out = x if out is None else out * x
-        e >>= 1
-        if e == 1:
-            return (x, x) if out is None else (out, x * x)
-        x = x * x
+    """(y, z) with y * z = x**e, for e >= 2: left-to-right square-and-multiply
+    without its last product, so every large product is a square or a
+    product by x.  For even e, y and z are one object x^(e/2); for odd e,
+    y is x and z = x^(e-1) is itself a square."""
+    h = _power(x, e >> 1, None)
+    if e & 1:
+        return x, h * h
+    return h, h
 
 
 class QLaurent:

@@ -102,6 +102,22 @@ def test_the_numerator_reaches_the_division_packed_and_undecoded(monkeypatch):
     assert events.count("_Packed") == sum(isinstance(c, qlmod._Packed) for c in calls) > 0
 
 
+def test_the_power_is_freed_before_the_division(monkeypatch):
+    import sys
+
+    names = []
+
+    def spy(d, n):
+        names.append(set(sys._getframe(1).f_locals))
+        return left_divide(d, n)
+
+    monkeypatch.setattr(cluster, "left_divide", spy)
+    xvar_recursive.cache_clear()
+    for r, n in [*TRIO, (2, 8)]:
+        gr_table(r, n)
+    assert names and all("numerator" in seen and not seen & {"y", "z"} for seen in names)
+
+
 @pytest.mark.parametrize("fallback", ["dict loop", "off stride"])
 def test_the_step_falls_back_to_a_decoded_numerator(monkeypatch, fallback):
     import qkron.qlaurent as qlmod

@@ -193,6 +193,27 @@ def test_rank_matches_elimination(p):
             ]
         want = _rank_by_elimination(mat, p)
         assert _rank([_byte_code(row, p) for row in mat], p) == want, (case, width, mat)
+    # 30 to 60 rows: unreduced bytes pass 127 at odd p, so the leading
+    # byte's index must come from its top set bit
+    for case in range(20):
+        width, nrows = rng.randint(30, 60), rng.randint(30, 60)
+        mat = [[rng.randrange(p) for _ in range(width)] for _ in range(nrows)]
+        if case % 2:  # rank-deficient: the later rows repeat combinations of the first
+            mat[nrows // 2:] = [[sum(rng.randrange(p) * row[j] for row in mat[:4]) % p
+                                 for j in range(width)] for _ in range(nrows - nrows // 2)]
+        want = _rank_by_elimination(mat, p)
+        assert _rank([_byte_code(row, p) for row in mat], p) == want, (case, width, nrows)
+    if p > 2:  # the worst case: each clearing step adds (p - 1)^2 to every lower byte
+        n = 256 // (p - 1) ** 2 + 6
+        mat = [[p - 1] * i + [1] + [0] * (n - 1 - i) for i in range(1, n)]
+        # every lead is 1 mod p, and the last digit cancels: a byte that
+        # carried would leave it nonzero
+        mat.append([(1 - n) % p] + [(2 - n + j) % p for j in range(1, n)])
+        assert _rank([_byte_code(row, p) for row in mat], p) == _rank_by_elimination(mat, p) == n - 1
+    # a repeated row: one clearing step leaves each of its bytes at p times
+    # its digit, a nonzero multiple of p whenever the digit is nonzero
+    row = _byte_code(range(1, 2 * p), p)
+    assert _rank([row, row, row << 8, row], p) == 2
     assert _rank([], p) == 0
     assert _rank([0, 0], p) == 0
 

@@ -205,12 +205,15 @@ def test_offset_gcd_folds_each_coefficient(coeffs):
 def test_split_power_stops_before_the_last_product():
     from qkron.qlaurent import _split_power
 
+    # the last product is a square, or x times a square
     x = 1 + q + 2 * q**3
     for e in range(2, 17):
         y, z = _split_power(x, e)
-        top = 1 << (e.bit_length() - 1)
-        low = e // 2 if e == top else e - top
-        assert (y, z) == (x**low, x ** (e - low)) and y * z == x**e
+        assert y * z == x**e
+        if e % 2:
+            assert y is x and z == x ** (e - 1)
+        else:
+            assert y is z and y == x ** (e // 2)
 
 
 def test_mat_mul_leaves_sparse_spans_unpadded(monkeypatch):

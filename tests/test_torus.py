@@ -215,6 +215,90 @@ def test_product_kernel_accumulates_in_place():
     assert (1, 1) not in got  # the dense product's
 
 
+def test_a_square_lists_each_pair_once_with_its_mirror_after_it():
+    from qkron.qlaurent import _twisted
+
+    t = {(a, b): {0: 1} for a in range(-2, 3) for b in range(3)}
+    pairs = _twisted(t, t)
+    # the pairs of a product by an equal but distinct operand, reordered
+    assert sorted(pairs) == sorted(_twisted(t, dict(t)))
+    seen, i = set(), 0
+    while i < len(pairs):
+        k1, k2 = pairs[i][2:]
+        assert frozenset((k1, k2)) not in seen
+        seen.add(frozenset((k1, k2)))
+        if k1 != k2:
+            assert pairs[i + 1][2:] == (k2, k1)
+        i += 1 if k1 == k2 else 2
+    assert len(seen) == len(t) * (len(t) + 1) // 2
+
+
+class _Counted(int):
+    """An int whose products are counted, to see which products run."""
+
+    products: list = []
+
+    def __mul__(self, other):
+        _Counted.products.append(1)
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def _square_and_copy(monkeypatch, t):
+    """The packed square of the term map t, and the same product taken with
+    an equal but distinct right operand, each with its count of products."""
+    import qkron.qlaurent as qlmod
+
+    monkeypatch.setattr(qlmod, "_mpz", _Counted)
+    out = []
+    for t2 in (t, {key: dict(d) for key, d in t.items()}):
+        _Counted.products = []
+        prod = qlmod._mul_pairs(t, t2, qlmod._twisted(t, t2), decode=False)
+        assert isinstance(prod, qlmod._Packed)
+        out.append((qlmod._decode_terms(prod), len(_Counted.products)))
+    return out
+
+
+def test_a_packed_square_multiplies_each_coefficient_pair_once(monkeypatch):
+    import random
+
+    from qkron.cluster import xvar_recursive
+    from qkron.torus import _terms
+
+    # the square of x^3 in the last step of (7, 5): 46 keys of many terms
+    x = xvar_recursive(7, 4).scale2(1)
+    cases = [_terms((x**3)._t)]
+    rng = random.Random(24)
+    grid = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+    for _ in range(20):
+        # enough work to pack; some coefficients of one term, which pack as plain ints
+        cases.append({key: QLaurent((2 * rng.randrange(-9, 10), rng.randrange(1, 51))
+                                    for _ in range(rng.choice([1, 5, 9])))._t
+                      for key in rng.sample(grid, rng.randint(4, 9))})
+    for t in cases:
+        (square, reused), (want, every) = _square_and_copy(monkeypatch, t)
+        assert square == want
+        # each mirror reuses its pair's product; one-term coefficients stay
+        # plain ints, so only products with a packed side are counted
+        n, few = len(t), sum(len(d) == 1 for d in t.values())
+        assert every - reused == n * (n - 1) // 2 - few * (few - 1) // 2 > 0
+
+
+def test_a_product_of_distinct_operands_reuses_no_product():
+    from qkron.qlaurent import _mul_dicts, _mul_packed, _mul_pairs, _twisted
+
+    # (b, a) follows (a, b) on the same key objects, but t1[b] t2[a] differs from t1[a] t2[b]
+    a, b = (0, 1), (1, 0)
+    c = {2 * i: i + 1 for i in range(12)}
+    t1 = {a: c, b: {k: 2 * v for k, v in c.items()}}
+    t2 = {a: {k: 3 * v for k, v in c.items()}, b: {k: 5 * v for k, v in c.items()}}
+    pairs = _twisted(t1, t2)
+    assert [pair[2:] for pair in pairs] == [(a, a), (a, b), (b, a), (b, b)]
+    assert _mul_packed(t1, t2, pairs) is not None
+    assert _mul_pairs(t1, t2, pairs) == _mul_dicts(t1, t2, pairs)
+
+
 def _old_width(t1, t2, pairs):
     """The digit width of the former rule, max|t1| max|t2| min(max nnz) fanin."""
     from collections import Counter
