@@ -21,6 +21,16 @@ P_e is nonzero whenever <e, d-e> >= 0, is not taken from that paper; it is
 checked only at the (r, n) of the Euler-form tests.  Where both hold, X_n
 has one key per such e and sum (<e, d-e> + 1) coefficients; (5, 6) has
 1,451 keys and 1,718,976 coefficients.
+
+The power X_{n-1}^r in the step to X_n has no constant term, so the step
+adds the 1 as a key of its own.  With (d1, d2) = ``dim_vector(r, n-1)`` and
+d3 = r d2 - d1, the keys of X_{n-1} are (d3 - r e2, r e1 - d2) over the e
+with P_e != 0, and a sum of r of them is (0, 0) only if r such e add up to
+(d2, d3).  Every subrepresentation of the exceptional M_{n-1} has
+e1 d2 <= e2 d1 (slope stability; checked by the tests, not cited), so
+summing over the r of them would give d2^2 <= d1 d3.  But consecutive terms
+of c_n keep d2^2 - r d2 d3 + d3^2 = 1, that is d2^2 - d1 d3 = 1.  For
+n <= 4 it is direct: X_2^r is the monomial X2^r, and at n = 4, d3 = c_0 = -1.
 """
 
 from __future__ import annotations
@@ -28,10 +38,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BudgetExceeded, ExtractionFailed
-from .qlaurent import (ONE, QLaurent, _add_aligned, _check_rn, _OffStride, _Packed, _split_power,
-                       dim_vector)
+from .qlaurent import ONE, QLaurent, _check_rn, _split_power, dim_vector
 from .records import Record
-from .torus import TorusElement, _element, _mul_large, left_divide
+from .torus import TorusElement, _mul_large, left_divide
 
 # Each recursion step is refused, and so never cached, past these sizes.
 MAX_TERMS = 500_000
@@ -42,9 +51,9 @@ MAX_COEFF_BITS = 1 << 22
 def xvar_recursive(r: int, n: int) -> TorusElement:
     """n-th cluster variable: X1, X2, then one exact left division per step
     of the exchange relation, from the cached X_{n-2} and X_{n-1}.  The last
-    product of the power stays packed: the 1 is added to its packed digits
-    and the division takes it without a decode.  A product that ran on the
-    dict loop, or a 1 off its stride, goes to the division decoded."""
+    product of the power reaches the division packed, and the 1 goes in as
+    the entry [1, 0, 0] at the new key (0, 0) (see the module docstring);
+    its one digit is 1, within the product's digit bound."""
     _check_rn(r, n)
     if n <= 2:
         return TorusElement.monomial(1, 0) if n == 1 else TorusElement.monomial(0, 1)
@@ -56,15 +65,9 @@ def xvar_recursive(r: int, n: int) -> TorusElement:
         raise BudgetExceeded("the uncached chain is deeper than Python's recursion limit") from None
     numerator = _mul_large(y._t, z._t, decode=False)
     del y, z  # freed before the division, where the step peaks in memory
-    if isinstance(numerator, _Packed):
-        try:
-            _add_aligned(numerator.terms, (0, 0), 1, 0, 0, numerator.g, 8 * numerator.width)
-            # one digit grew by 1: the bound stays at most a quarter of the base
-            numerator = numerator._replace(bound=numerator.bound + 1)
-        except _OffStride:  # nothing was added
-            numerator = _element(numerator)
-    if isinstance(numerator, TorusElement):
-        numerator = numerator + TorusElement.one()
+    if (0, 0) in numerator.terms:
+        raise AssertionError(f"X_{n - 1}^{r} has a constant term")
+    numerator.terms[(0, 0)] = [1, 0, 0]
     cur = left_divide(prev2, numerator)
     if cur.num_terms() > MAX_TERMS:
         raise BudgetExceeded(f"{cur.num_terms()} torus terms exceed the cap of {MAX_TERMS}")

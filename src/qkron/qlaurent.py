@@ -207,9 +207,9 @@ def _decode(entry, width: int, g: int) -> dict:
 # for the quantum-torus element sum c_{a,b}(q) X1^a X2^b and _twisted lists
 # the pairs of its normal-form product; mat_mul lists the pairs of a matrix
 # product, and a QLaurent product is the one pair (0, 0, 0, 0).  Every
-# product, in QLaurent, the torus, its division and mat_mul, goes through
-# _mul_pairs or its packed loop; the family scan only multiplies by monomials
-# and writes that case out.
+# product, in QLaurent, the torus and mat_mul, goes through _mul_pairs; the
+# two writers of monomial products, the division step (the divisor times a
+# quotient monomial) and the family scan, write that case out.
 
 
 def _twisted(t1: dict, t2: dict) -> list:
@@ -354,12 +354,19 @@ def _mul_packed(t1: dict, t2: dict, pairs: list):
 def _mul_pairs(t1: dict, t2: dict, pairs: list, decode: bool = True):
     """The pair product {out_key: sum of q^(shift/2) t1[k1] t2[k2]} over the
     (out_key, doubled shift, k1, k2) pairs; keys that cancel are dropped.
-    The dict loop or the packed one (see ``_mul_packed``) runs; with decode
-    false, a product that ran packed is returned as its ``_Packed`` map."""
+    The dict loop or the packed one (see ``_mul_packed``) runs.  With decode
+    false the product is always a ``_Packed`` map: the packed loop's as it
+    is, the dict loop's packed at its own stride (1 if it has none), with
+    its largest |coefficient| as the bound (0 if it is empty)."""
     prod = _mul_packed(t1, t2, pairs)
-    if prod is None:
-        return _mul_dicts(t1, t2, pairs)
-    return _decode_terms(prod) if decode else prod
+    if prod is not None:
+        return _decode_terms(prod) if decode else prod
+    prod = _mul_dicts(t1, t2, pairs)
+    if decode:
+        return prod
+    bound, g = _max_coeff(prod) if prod else 0, _offset_gcd(prod) or 1
+    width = _digit_width(bound)
+    return _Packed(_pack_terms(prod, width, g), width, g, bound)
 
 
 def _division_width(d: dict, nbound: int, bound: int) -> int:
@@ -375,14 +382,16 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
     (decode, then pack) only when it needs a wider digit or a finer stride
     than n carries.  Each step pops the leading entry, trims its cancelled
     low digits so that the products it enters stay short, decodes it (the
-    quotient term up to a unit) and subtracts the other divisor terms times
-    it with the kernel's packed pair loop, one big-integer product per
-    divisor term.  While every quotient coefficient is at most ``bound``, a
-    remainder digit is a digit of n (at most n.bound) minus at most |d|
-    digits of size maxc(d) * bound * maxnnz(d), so by induction every decode
-    is exact.  Returns (quotient, bound, g); the quotient is None when a
-    quotient coefficient exceeds the bound (which is then at least doubled)
-    or a sum lands off the stride (g shrinks).
+    quotient term cz X1^az X2^bz up to a unit) and subtracts the other
+    divisor terms times that monomial in place: per divisor term c X1^a X2^b,
+    one big-integer product and one ``_add_aligned`` at the key
+    (a + az, b + bz) with the twist q^(-b*az).  While every quotient
+    coefficient is at most ``bound``, a remainder digit is a digit of n (at
+    most n.bound) minus at most |d| digits of size maxc(d) * bound *
+    maxnnz(d), so by induction every decode is exact.  Returns (quotient,
+    bound, g); the quotient is None when a quotient coefficient exceeds the
+    bound (which is then at least doubled) or a sum lands off the stride
+    (g shrinks).
     """
     (ad, bd), cd = max(d.items())
     ((kd2, sign),) = cd.items()
@@ -417,9 +426,10 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
         if top > bound:
             return None, max(2 * bound, top), g
         quot[(az, bz)] = QLaurent._raw(cz)
-        z = {(az, bz): (val, lo, hi)}
         try:
-            _mul_packed_pairs(rem, terms, z, _twisted(terms, z), g, bits)
+            for (a, b), (v, vlo, vhi) in terms.items():
+                sh = -2 * b * az
+                _add_aligned(rem, (a + az, b + bz), v * val, vlo + lo + sh, vhi + hi + sh, g, bits)
         except _OffStride as off:
             return None, bound, math.gcd(g, off.args[0])
     raise DivisionFailed("division did not terminate within the support box")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import DivisionFailed, InvalidParameter
-from .qlaurent import (ONE, QLaurent, _decode_terms, _divide_packed, _division_width, _json_field,
+from .qlaurent import (ONE, QLaurent, _divide_packed, _division_width, _json_field,
                        _max_coeff, _mul_pairs, _offset_gcd, _pack_terms, _Packed, _power, _twisted)
 
 
@@ -186,24 +186,19 @@ def _terms(t: dict) -> dict:
     return {key: c._t for key, c in t.items()}
 
 
-def _element(prod) -> TorusElement:
-    """The TorusElement of a term map, a packed one (``_Packed``) decoded."""
-    if isinstance(prod, _Packed):
-        prod = _decode_terms(prod)
-    return TorusElement._raw({key: QLaurent._raw(d) for key, d in prod.items()})
-
-
 def _mul_large(t1: dict, t2: dict, decode: bool = True):
     """Normal-form product of two {(a, b): QLaurent} dicts: every torus
     product runs here, as ``qlaurent._mul_pairs`` over the ``_twisted``
     pairs, which picks the loop on dicts or the packed one from the operands.
-    With decode false, a product that ran packed is returned as its
-    ``_Packed`` term map, which ``left_divide`` takes as it is."""
+    With decode false the product is returned as a ``_Packed`` term map,
+    which ``left_divide`` takes as it is."""
     same = t1 is t2
     t1 = _terms(t1)
     t2 = t1 if same else _terms(t2)
     prod = _mul_pairs(t1, t2, _twisted(t1, t2), decode)
-    return prod if isinstance(prod, _Packed) else _element(prod)
+    if not decode:
+        return prod
+    return TorusElement._raw({key: QLaurent._raw(d) for key, d in prod.items()})
 
 
 X1 = TorusElement.monomial(1, 0)
@@ -226,7 +221,8 @@ def left_divide(d: TorusElement, n) -> TorusElement:
     componentwise, which bounds the loop and certifies failure otherwise.
     n is a TorusElement, packed here once with its largest |coefficient| as
     the first bound, or a packed term map (``_Packed``, as ``_mul_large``
-    returns it with decode false), taken as it is with its digit bound.
+    returns it with decode false, the form every recursion step hands
+    over), taken as it is with its digit bound.
     The remainder stays packed (see ``_divide_packed``); a run that cannot
     prove its decodes exact is repeated with a larger bound or finer stride.
     """

@@ -14,6 +14,7 @@ from qkron.errors import BudgetExceeded, ExtractionFailed, InvalidParameter
 from qkron.qlaurent import ONE, QLaurent, c_sequence, q
 from qkron.strata import closed_gr_m6
 from qkron.torus import TorusElement, left_divide
+from qkron.verify import BRIDGE_PAIRS
 
 
 def test_generators():
@@ -92,14 +93,13 @@ def test_the_numerator_reaches_the_division_packed_and_undecoded(monkeypatch):
     xvar_recursive.cache_clear()
     for r, n in TRIO:
         gr_table(r, n)
-        # the last step's product runs packed and reaches the division packed
-        assert isinstance(calls[-1], qlmod._Packed)
+    # every step's product, packed or dict loop, reaches the division packed
+    assert len(calls) == 10 and all(isinstance(c, qlmod._Packed) for c in calls)
     divides = [i for i, e in enumerate(events) if e == "divide"]
     assert len(divides) == len(calls)
     for i in divides:
         # nothing is decoded from the product's return to the division
-        assert events[i - 2] == "product" and events[i - 1] in ("_Packed", "TorusElement")
-    assert events.count("_Packed") == sum(isinstance(c, qlmod._Packed) for c in calls) > 0
+        assert events[i - 2:i] == ["product", "_Packed"]
 
 
 def test_the_power_is_freed_before_the_division(monkeypatch):
@@ -118,27 +118,69 @@ def test_the_power_is_freed_before_the_division(monkeypatch):
     assert names and all("numerator" in seen and not seen & {"y", "z"} for seen in names)
 
 
-@pytest.mark.parametrize("fallback", ["dict loop", "off stride"])
-def test_the_step_falls_back_to_a_decoded_numerator(monkeypatch, fallback):
+def test_dict_loop_products_reach_the_division_packed(monkeypatch):
     import qkron.qlaurent as qlmod
 
     pairs = TRIO[1:]  # (7, 5) on the dict loop alone takes seconds
     xvar_recursive.cache_clear()
     want = [xvar_recursive(r, n) for r, n in pairs]
-    if fallback == "dict loop":
-        monkeypatch.setattr(qlmod, "_SCHOOLBOOK_LIMIT", 10**9)
-    else:
-        def off(*args):
-            raise qlmod._OffStride(1)
-
-        monkeypatch.setattr(cluster, "_add_aligned", off)
+    monkeypatch.setattr(qlmod, "_SCHOOLBOOK_LIMIT", 10**9)
     calls = _spy_divisions(monkeypatch)
     xvar_recursive.cache_clear()
     try:
         assert [xvar_recursive(r, n) for r, n in pairs] == want
     finally:
         xvar_recursive.cache_clear()
-    assert calls and all(isinstance(n, TorusElement) for n in calls)
+    assert calls and all(isinstance(n, qlmod._Packed) for n in calls)
+
+
+# the instances whose tables the slope and constant-term tests read
+SLOPE_PAIRS = sorted({*BRIDGE_PAIRS, *TRIO, (2, 8), (4, 5)})
+
+
+@pytest.mark.parametrize("r, n", SLOPE_PAIRS)
+def test_subrepresentations_satisfy_the_slope_inequality(r, n):
+    # e1 d2 <= e2 d1 for every nonzero P_e: the slope stability of M_n
+    # that the module docstring's no-constant-term argument rests on
+    table = gr_table(r, n)
+    assert table.entries
+    for e1, e2 in table.entries:
+        assert e1 * table.d2 <= e2 * table.d1, (e1, e2)
+
+
+@pytest.mark.parametrize("r", sorted({r for r, _ in SLOPE_PAIRS}))
+def test_the_power_in_each_step_has_no_constant_term(r):
+    top = max(n for r_, n in SLOPE_PAIRS if r_ == r)
+    for n in range(3, top + 1):
+        power = xvar_recursive(r, n - 1) ** r
+        assert power and (0, 0) not in power._t, (r, n)
+
+
+def test_a_constant_term_in_the_power_is_refused_and_not_cached(monkeypatch):
+    import qkron.qlaurent as qlmod
+
+    r, n = 3, 5
+    want = xvar_recursive(r, n)
+    mul = cluster._mul_large
+
+    def with_one(t1, t2, decode=True):
+        # the whole numerator, 1 included: a step that overwrote the (0, 0)
+        # entry would still divide to X_n, so only the guard refuses it
+        prod = mul(t1, t2, decode)
+        assert isinstance(prod, qlmod._Packed) and (0, 0) not in prod.terms
+        prod.terms[(0, 0)] = [1, 0, 0]
+        return prod
+
+    xvar_recursive.cache_clear()
+    xvar_recursive(r, n - 1)
+    with monkeypatch.context() as m:
+        m.setattr(cluster, "_mul_large", with_one)
+        calls = _spy_divisions(m)
+        with pytest.raises(AssertionError, match="constant term"):
+            xvar_recursive(r, n)
+        assert calls == []
+    calls = _spy_divisions(monkeypatch)
+    assert xvar_recursive(r, n) == want and len(calls) == 1
 
 
 def test_invalid_parameters(monkeypatch):

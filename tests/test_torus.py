@@ -299,6 +299,29 @@ def test_a_product_of_distinct_operands_reuses_no_product():
     assert _mul_pairs(t1, t2, pairs) == _mul_dicts(t1, t2, pairs)
 
 
+def test_a_dict_loop_product_is_handed_over_packed():
+    from qkron.qlaurent import (_decode_terms, _digit_width, _max_coeff, _mul_dicts, _mul_packed,
+                                _mul_pairs, _Packed, _twisted)
+    from qkron.torus import _terms
+
+    c = QLaurent({0: 1, 2: 1, 4: 1, 2000: 1})  # so sparse that it takes the dict loop
+    sparse = (TorusElement(((i % 8, i // 8), c.shift2(i)) for i in range(32)),
+              TorusElement(((i // 4 - 3, i % 4), c) for i in range(32)))
+    small = (X1 + TorusElement.monomial(0, 1, QLaurent({4: -3, 10: 7})), X2 - X1)
+    cases = [tuple(_terms(x._t) for x in xs) + (None,) for xs in (sparse, small)]
+    # 3 q - 3 q on one key: a product that cancels to nothing
+    cases.append(({0: {0: 1}, 1: {0: -1}}, {0: {2: 3}}, [(0, 0, 0, 0), (0, 0, 1, 0)]))
+    for t1, t2, pairs in cases:
+        pairs = pairs or _twisted(t1, t2)
+        assert _mul_packed(t1, t2, pairs) is None
+        want = _mul_dicts(t1, t2, pairs)
+        prod = _mul_pairs(t1, t2, pairs, decode=False)
+        assert isinstance(prod, _Packed) and _decode_terms(prod) == want
+        assert prod.bound == (_max_coeff(want) if want else 0)
+        assert prod.width == _digit_width(prod.bound)
+    assert prod == _Packed({}, 1, 1, 0)
+
+
 def _old_width(t1, t2, pairs):
     """The digit width of the former rule, max|t1| max|t2| min(max nnz) fanin."""
     from collections import Counter
