@@ -123,16 +123,18 @@ def slope_exceeds(path: DyckPath, i: int, t: int) -> bool:
     return (yt - yi) * path.width > path.height * dx
 
 
+@lru_cache(maxsize=256, typed=True)
 def green_labels(r: int, n: int):
     """All admissible green labels (m, w) with their vertex offset
-    c_m - w*c_{m-1} and admissibility window length c_{m-1} - w*c_{m-2}."""
+    c_m - w*c_{m-1} and admissibility window length c_{m-1} - w*c_{m-2}:
+    a tuple, built once per (r, n) for every subpath ``classify`` colors."""
     out = []
     for m in range(3, n):
         for w in range(1, r - 1):
             delta = c_sequence(r, m) - w * c_sequence(r, m - 1)
             window = c_sequence(r, m - 1) - w * c_sequence(r, m - 2)
             out.append((m, w, delta, window))
-    return out
+    return tuple(out)
 
 
 def classify(path: DyckPath, i: int, k: int):

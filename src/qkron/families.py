@@ -223,9 +223,9 @@ def enumerate_families(path: DyckPath):
 # big integer (``_expand`` proves that stride).  Every digit counts prefixes
 # that reach the state, and the free edges always extend a prefix to a
 # family, distinct prefixes to distinct families, so every digit lies in
-# [0, count_families]: a digit width taken from that count makes the decode
-# exact, and as no digit cancels, lo stays the lowest exponent and the value
-# ends at its top digit.
+# [0, count_families]: the digits are unsigned, their width the bytes of that
+# count, with no sign headroom, and the decode is exact; as no digit
+# cancels, lo stays the lowest exponent and the value ends at its top digit.
 
 
 class _DpEl(namedtuple("_DpEl", "lo hi subpath bluegreen window blk")):
@@ -310,10 +310,13 @@ def _successors(tb: _DpTables, pos: int, mask: int, flag: bool):
                        el.subpath and tb.flag_rel[nxt])
 
 
+@lru_cache(maxsize=1)
 def _list_states(path: DyckPath):
     """(tables, the reachable states by position, the family count) from
     the prefix counts of the states not yet reached.  Past the last edge
-    the normalization leaves one state, (N + 1, 0, False)."""
+    the normalization leaves one state, (N + 1, 0, False).  The last
+    listing is kept, so a cold ``xvar_enum`` lists once: for its budget
+    check, then for its value pass."""
     tb = _dp_tables(path)
     layers = [[] for _ in range(tb.N + 2)]
     layers[1].append((1, 0, False))
@@ -365,8 +368,8 @@ def _push(total: dict, blk, value: dict, g: int, bits: int) -> None:
 @lru_cache(maxsize=16)
 def _expand(r: int, n: int) -> TorusElement:
     """xvar_enum(r, n) without the budget: q X1 P X1^-1 for the prefix sum P
-    (see above), in one value pass at stride g = 2r and the digit width the
-    family count proves.
+    (see above), in one value pass at stride g = 2r and the unsigned digit
+    width the family count proves.
 
     The stride is proven, so ``_push`` never meets a gap off it:
     - Take two prefixes that reach one normalized state at one key (a, b).
@@ -381,7 +384,7 @@ def _expand(r: int, n: int) -> TorusElement:
     - So every ``_push`` gap is a multiple of 2r.  Within a key, lo is always
       the exponent of a real prefix, because no digit is ever negative."""
     tb, layers, count = _list_states(build_dyck(r, n))
-    g, width = 2 * r, _digit_width(count)
+    g, width = 2 * r, _digit_width(count, False)
     bits = 8 * width
     values = {layers[1][0]: {(0, 0): (1, 0)}}
     for pos in range(1, tb.N + 1):
@@ -393,7 +396,7 @@ def _expand(r: int, n: int) -> TorusElement:
     # q X1 (X1^a X2^b) X1^-1 = q^(b+1) X1^a X2^b adds 2b + 2 to every doubled
     # exponent; no digit is negative, so the top one ends the value
     return TorusElement._raw({
-        (a, b): QLaurent._raw(_unpack(v, lo + 2 * b + 2, -(-v.bit_length() // bits), width, g))
+        (a, b): QLaurent._raw(_unpack(v, lo + 2 * b + 2, -(-v.bit_length() // bits), width, g, False))
         for (a, b), (v, lo) in values.popitem()[1].items()
     })
 

@@ -73,7 +73,8 @@ def _refusal_stubs(monkeypatch, module):
     else:
         labels = [(3, w, d, w) for d in range(1, 64) for w in (1, 2)]
         monkeypatch.setattr(dyck, "green_labels", lambda r, n: labels)
-        for fn in (families.path_elements, families._dp_tables, families._expand):
+        for fn in (families.path_elements, families._dp_tables, families._list_states,
+                   families._expand):
             fn.cache_clear()
 
 

@@ -164,6 +164,18 @@ def test_push_refuses_a_gap_off_the_stride():
     assert isinstance(off.value, AssertionError) and off.value.args == (5,)
 
 
+def test_a_cold_xvar_enum_lists_the_states_once(monkeypatch):
+    # the budget check and the value pass share one listing of the states,
+    # and an uncached value pass after them reuses it; _dp_tables is read by
+    # the listing only
+    tables, listed = families._dp_tables, []
+    monkeypatch.setattr(families, "_dp_tables", lambda path: listed.append(path) or tables(path))
+    for fn in (families._list_states, families._expand):
+        fn.cache_clear()
+    assert xvar_enum(3, 6) == families._expand.__wrapped__(3, 6)
+    assert listed == [build_dyck(3, 6)]
+
+
 @pytest.mark.parametrize("r, n, g", [(2, 6, 5), (3, 5, 9)])
 def test_off_stride_sum_reruns_the_scan(monkeypatch, r, n, g):
     # rerun every push of the scan on a copy of its total at a stride g that

@@ -327,32 +327,59 @@ def test_strided_pack_roundtrip_and_digit_bound():
 
 @st.composite
 def _codec_cases(draw):
-    """(width, step, lo, digits): every digit in [-half, half) of the base
-    2^(8*width), with the bound's edges, runs of zeros and one-digit spans."""
-    width = draw(st.integers(1, 10))
-    half = 1 << (8 * width - 1)
-    edges = st.sampled_from((half - 1, 1 - half, -half, 1, -1))
-    digit = st.one_of(st.just(0), edges, st.integers(-half, half - 1))
+    """(width, step, lo, digits, signed): every digit in its alphabet,
+    [-half, half) of the base 2^(8*width) when signed and [0, base) when
+    not, with the alphabet's edges, the edges of the 8-byte lanes, runs of
+    zeros and one-digit spans."""
+    width, signed = draw(st.integers(1, 24)), draw(st.booleans())
+    floor = -(1 << (8 * width - 1)) if signed else 0
+    ceil = floor + (1 << (8 * width)) - 1
+    edges = [e for e in (floor, ceil, 1, -1, 2**64 - 1, 2**64, -(2**63) - 1, 2**127, -(2**128))
+             if floor <= e <= ceil]
+    digit = st.one_of(st.just(0), st.sampled_from(edges), st.integers(floor, ceil))
     digits = draw(st.lists(digit, min_size=1, max_size=40))
-    return width, draw(st.sampled_from((1, 2, 4))), draw(st.integers(-60, 60)), digits
+    return width, draw(st.sampled_from((1, 2, 4))), draw(st.integers(-60, 60)), digits, signed
 
 
 @given(_codec_cases(), st.booleans())
-@example((1, 1, 0, [-128]), False)
-@example((8, 2, -3, [2**63 - 1, 0, 0, -(2**63)]), True)
-@example((9, 4, 5, [-(2**71), 0, 2**71 - 1]), False)
+@example((1, 1, 0, [-128], True), False)
+@example((8, 2, -3, [2**63 - 1, 0, 0, -(2**63)], True), True)
+@example((8, 1, 0, [2**64 - 1, 1, 0, 2**63], False), False)
+@example((9, 4, 5, [-(2**71), 0, 2**71 - 1], True), False)
+@example((9, 2, 1, [2**72 - 1, 2**64, 0, 2**64 - 1], False), True)
+@example((16, 2, -1, [-(2**127), 2**127 - 1, -(2**64), 2**64 - 1, -1], True), False)
+@example((16, 1, 0, [2**128 - 1, 0, 2**64, 1], False), False)
+@example((17, 4, 2, [-(2**135), 0, 2**135 - 1, -(2**128) - 1], True), True)
+@example((17, 2, 0, [2**136 - 1, 2**128, 2**64 - 1, 1], False), False)
 def test_codec_roundtrip(case, stub):
     import qkron.qlaurent as qlmod
 
-    width, step, lo, digits = case
+    width, step, lo, digits, signed = case
     t = {lo + step * i: c for i, c in enumerate(digits) if c}
     want = sum(c << (8 * width * i) for i, c in enumerate(digits))
     with pytest.MonkeyPatch.context() as mp:
         if stub:  # an int subclass in place of the module's _mpz
             mp.setattr(qlmod, "_mpz", type("Z", (int,), {}))
-        val = qlmod._pack(t, lo, len(digits), width, step)
+        val = qlmod._pack(t, lo, len(digits), width, step, signed)
         assert val == want
-        assert qlmod._unpack(val, lo, len(digits), width, step) == t
+        assert qlmod._unpack(val, lo, len(digits), width, step, signed) == t
+
+
+def test_unsigned_codec_refuses_a_negative_value_or_one_past_its_span():
+    from qkron.qlaurent import _pack, _unpack
+
+    for width in (1, 8, 9, 16, 17):
+        base = 1 << (8 * width)
+        t = {0: base - 1, 2: 1}
+        val = _pack(t, 0, 2, width, 2, False)
+        assert _unpack(val, 0, 2, width, 2, False) == t
+        # a negative value, and a third digit past the two of the span
+        for bad in (-1, -val, val + base**2, base**2):
+            with pytest.raises(AssertionError, match="digit bound"):
+                _unpack(bad, 0, 2, width, 2, False)
+        for digit in (-1, base):
+            with pytest.raises(AssertionError, match="digit bound"):
+                _pack({0: digit}, 0, 2, width, 2, False)
 
 
 def test_pack_refuses_what_it_cannot_place():
