@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, and_, lshift, rshift, sub
+from operator import sub
 
 from .errors import (
     DivisionFailed,
@@ -80,46 +80,19 @@ def _digit_width(bound: int, signed: bool = True) -> int:
     return (bound.bit_length() + 7) // 8 or 1
 
 
-# Digits are packed in one of two alphabets: signed (balanced) digits in
+# Digits come in one of two alphabets: signed (balanced) digits in
 # [-half, half) of the digit base, for coefficients of either sign, and
-# unsigned digits in [0, base), for the family scan's prefix counts.  A digit
-# is cut into lanes: low lanes of 8 bytes, read and written as unsigned array
-# items, and a top lane of the remaining 1-8 bytes, held in the narrowest
-# array item of 1, 2, 4 or 8 bytes that fits it and zero-extended for an
-# unsigned digit.  A signed digit keeps its sign in the top lane: _FLIP
-# toggles the top bit, so the two's complement of a digit d reads as d + half
-# and back, and _SIGN maps the top byte of d + half, _EXTEND the top byte of
-# d, to the byte that sign-extends d.
-_LANES = {signed: {array(code).itemsize: code for code in codes}
-          for signed, codes in ((True, "bhilq"), (False, "BHILQ"))}
+# unsigned digits in [0, base), for the family scan's prefix counts, which
+# only ``_unpack`` reads.  A digit of at most 8 bytes is held in a lane, the
+# narrowest array item of 1, 2, 4 or 8 bytes that fits it, zero-extended
+# when unsigned.  _FLIP toggles the top bit, so the two's complement of a
+# signed digit d reads as d + half and back; _SIGN maps the top byte of
+# d + half to the byte that sign-extends d.
+_LANES = {array(code).itemsize: code for code in "bhilq"}
+_UNSIGNED_LANES = {array(code).itemsize: code for code in "BHILQ"}
 _FLIP = bytes(range(128, 256)) + bytes(range(128))
 _SIGN = b"\xff" * 128 + b"\x00" * 128
-_EXTEND = b"\x00" * 128 + b"\xff" * 128
 _BIG_ENDIAN = sys.byteorder == "big"
-_LANE_MASK = (1 << 64) - 1
-
-
-def _lane_layout(width: int):
-    """(byte offset of the top lane, its bytes, its item size) for digits of
-    width bytes: the low lanes fill the bytes below the offset."""
-    top = (width - 1) // 8 * 8
-    return top, width - top, 1 << (width - top - 1).bit_length()
-
-
-def _lane_bytes(code: str, values) -> bytes:
-    """The little-endian bytes of values as array items of one type code."""
-    items = array(code, values)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return items.tobytes()
-
-
-def _lane_values(code: str, data) -> list:
-    """The array items of one type code in little-endian bytes, as ints."""
-    items = array(code, data)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return items.tolist()
 
 
 def _offset(length: int, width: int) -> int:
@@ -127,49 +100,33 @@ def _offset(length: int, width: int) -> int:
     return int.from_bytes((b"\x00" * (width - 1) + b"\x80") * length, "little")
 
 
-def _pack(t: dict, lo: int, length: int, width: int, step: int = 1, signed: bool = True):
-    """The digits t[lo + step*i], i < length, evaluated at 2^(8*width): one
-    big integer (an mpz when gmpy2 is present).  Refuses, as an
-    AssertionError, a digit outside its alphabet, [-half, half) of the base
-    when signed and [0, base) when not, and a term off that lattice or
-    outside the span.
+def _pack(t: dict, lo: int, length: int, width: int, step: int = 1):
+    """The signed digits t[lo + step*i], i < length, evaluated at
+    2^(8*width): one big integer (an mpz when gmpy2 is present).  Refuses,
+    as an AssertionError, a digit outside [-half, half) of the base and a
+    term off that lattice or outside the span.
 
-    The digits are written as lanes by C builtins, only over the bytes that
-    the largest of them fills: a low lane holds their low 64 bits, the top
-    lane the rest, in two's complement when signed.  A signed digit is then
-    sign-extended to width bytes with its top bit flipped, which makes it
-    its balanced value d + half."""
+    Up to 8 bytes a digit, its balanced value d + half is the two's
+    complement of d with the top bit flipped, so the digits are written as
+    lanes, cut to width bytes and flipped by C builtins."""
     digits = list(map(t.get, range(lo, lo + step * length, step), repeat(0)))
-    least, most = min(digits), max(digits)
-    floor = -(1 << (8 * width - 1)) if signed else 0
-    if least < floor or most >= floor + (1 << (8 * width)):
+    half = 1 << (8 * width - 1)
+    if max(digits) >= half or min(digits) < -half:
         raise AssertionError("packed digit outside its digit bound")
-    if signed:  # the bytes of the widest two's complement digit
-        fill = (max(most, ~least).bit_length() + 8) // 8
-    else:
-        fill = (most.bit_length() + 7) // 8 or 1
     if len(t) != length - digits.count(0):
         raise AssertionError("packed term off the lattice or outside the span")
-    top, size, lane = _lane_layout(fill)
-    raw = bytearray(length * width)
-    for at in range(0, top, 8):
-        lanes = _lane_bytes("Q", map(and_, digits, repeat(_LANE_MASK)))
-        for j in range(8):
-            raw[at + j :: width] = lanes[j::8]
-        digits = list(map(rshift, digits, repeat(64)))
-    lanes = _lane_bytes(_LANES[signed][lane], digits)
-    for j in range(size - 1):
-        raw[top + j :: width] = lanes[j::lane]
-    high = lanes[size - 1 :: lane]
-    if not signed:
-        raw[fill - 1 :: width] = high
-        return _mpz(int.from_bytes(raw, "little"))
-    if fill < width:
-        raw[fill - 1 :: width] = high
-        high = high.translate(_EXTEND)
-        for j in range(fill, width - 1):
-            raw[j::width] = high
-    raw[width - 1 :: width] = high.translate(_FLIP)
+    if width <= 8:
+        lane = 1 << (width - 1).bit_length()
+        lanes = array(_LANES[lane], digits)
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        lanes = lanes.tobytes()
+        raw = bytearray(length * width)
+        for j in range(width - 1):
+            raw[j::width] = lanes[j::lane]
+        raw[width - 1 :: width] = lanes[width - 1 :: lane].translate(_FLIP)
+    else:
+        raw = b"".join([(c + half).to_bytes(width, "little") for c in digits])
     return _mpz(int.from_bytes(raw, "little") - _offset(length, width))
 
 
@@ -178,41 +135,43 @@ def _unpack(val, lo: int, length: int, width: int, step: int = 1, signed: bool =
 
     Signed (balanced) digits: adding half the base to every digit makes all
     digits nonnegative without carries (|digit| < half), so the byte string
-    of the shifted value can be read windowwise; flipping the top bit back
-    and sign-extending the top lane gives each digit.  Unsigned digits are
-    read as they are, the top lane zero-extended.  A value outside
-    [0, base^length), after the shift, is refused: a digit outside its
-    alphabet leaves it there when it is the top digit.  Each lane is read by
-    one array conversion, and the lanes of a digit wider than 8 bytes are
-    put back together by C builtins.
+    of the shifted value can be read windowwise.  Unsigned digits are read
+    as they are.  A value outside [0, base^length), after the shift, is
+    refused: a digit outside its alphabet leaves it there when it is the top
+    digit.  Up to 8 bytes a digit, each digit is read as a lane by one array
+    conversion: a signed one with its top bit flipped back and sign-extended,
+    an unsigned one zero-extended.
     """
     val = int(val + _offset(length, width)) if signed else int(val)
     if val < 0 or val.bit_length() > 8 * width * length:
         raise AssertionError("packed multiplication exceeded its digit bound")
     raw = val.to_bytes(length * width, "little")
-    top, size, lane = _lane_layout(width)
-    if width == lane and not signed:  # the digits are the lanes
-        lanes = raw
-    else:
-        lanes = bytearray(lane * length)
-        for j in range(size - 1):
-            lanes[j::lane] = raw[top + j :: width]
-        high = raw[width - 1 :: width]
-        lanes[size - 1 :: lane] = high.translate(_FLIP) if signed else high
+    if width <= 8:
+        lane = 1 << (width - 1).bit_length()
         if signed:
-            high = high.translate(_SIGN)
-            for j in range(size, lane):
-                lanes[j::lane] = high
-    digits = _lane_values(_LANES[signed][lane], lanes)
-    for at in range(top - 8, -1, -8):
-        lanes = bytearray(8 * length)
-        for j in range(8):
-            lanes[j::8] = raw[at + j :: width]
-        digits = list(map(add, map(lshift, digits, repeat(64)), _lane_values("Q", lanes)))
-    keys = range(lo, lo + step * length, step)
-    if all(digits):
-        return dict(zip(keys, digits))
-    return dict(compress(zip(keys, digits), digits))
+            lanes = bytearray(lane * length)
+            for j in range(width - 1):
+                lanes[j::lane] = raw[j::width]
+            top = raw[width - 1 :: width]
+            lanes[width - 1 :: lane] = top.translate(_FLIP)
+            top = top.translate(_SIGN)
+            for j in range(width, lane):
+                lanes[j::lane] = top
+        elif width == lane:  # the digits are the lanes
+            lanes = raw
+        else:
+            lanes = bytearray(lane * length)
+            for j in range(width):
+                lanes[j::lane] = raw[j::width]
+        digits = array((_LANES if signed else _UNSIGNED_LANES)[lane], lanes)
+        if _BIG_ENDIAN:
+            digits.byteswap()
+        digits = digits.tolist()
+    else:
+        half = 1 << (8 * width - 1) if signed else 0
+        frm = int.from_bytes
+        digits = [frm(raw[i : i + width], "little") - half for i in range(0, length * width, width)]
+    return dict(compress(zip(range(lo, lo + step * length, step), digits), digits))
 
 
 class _OffStride(AssertionError):

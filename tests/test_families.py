@@ -248,6 +248,7 @@ def test_scan_memo_stays_small():
     # memo it replaced peaked at 13.8 MB at (6, 5)
     xvar_enum(6, 5, budget=None)  # warm the path and table caches
     families._expand.cache_clear()
+    families._list_states.cache_clear()  # the listing is measured too
     tracemalloc.start()
     try:
         got = xvar_enum(6, 5, budget=None)
@@ -261,6 +262,7 @@ def test_scan_memo_stays_small():
     # a cold (3, 7): a scan that kept every state until the root peaked at
     # 53.0 MB here
     families._expand.cache_clear()
+    families._list_states.cache_clear()
     families._dp_tables.cache_clear()
     tracemalloc.start()
     try:
