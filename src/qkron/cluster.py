@@ -9,8 +9,8 @@ Every computed X_n decomposes as
 
 with (d1, d2) = ``dim_vector(r, n)``; the P_e are polynomials in q with
 nonnegative coefficients, one per dimension vector of subrepresentations.
-``gr_table`` reads them off a computed X_n and ``assemble_xvar`` is the
-exact inverse.
+``gr_table`` reads them off the last division of X_n and ``assemble_xvar``
+is the exact inverse.
 
 With the Euler form <e, d-e> = e1(d1-e1) + e2(d2-e2) - r e1(d2-e2): for the
 rigid M_n a nonempty quiver Grassmannian Gr_e(M_n) is smooth projective of
@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BudgetExceeded, ExtractionFailed
-from .qlaurent import ONE, QLaurent, _check_rn, _split_power, dim_vector
+from .qlaurent import ONE, QLaurent, _check_rn, _decode, _split_power, dim_vector
 from .records import Record
 from .torus import TorusElement, _mul_large, left_divide
 
@@ -49,14 +49,21 @@ MAX_COEFF_BITS = 1 << 22
 
 @lru_cache(maxsize=128, typed=True)
 def xvar_recursive(r: int, n: int) -> TorusElement:
-    """n-th cluster variable: X1, X2, then one exact left division per step
-    of the exchange relation, from the cached X_{n-2} and X_{n-1}.  The last
-    product of the power reaches the division packed, and the 1 goes in as
-    the entry [1, 0, 0] at the new key (0, 0) (see the module docstring);
-    its one digit is 1, within the product's digit bound."""
+    """n-th cluster variable: X1, X2, then one exchange step per n."""
     _check_rn(r, n)
     if n <= 2:
         return TorusElement.monomial(1, 0) if n == 1 else TorusElement.monomial(0, 1)
+    return _step(r, n)
+
+
+def _step(r: int, n: int, target=None) -> TorusElement:
+    """X_n by one exact left division, from the cached X_{n-2} and X_{n-1},
+    or, given a decode target, the quotient as the target keys and decodes
+    it (see ``qlaurent._divide_packed``).  The last product of the power
+    reaches the division packed, and the 1 goes in as the entry [1, 0, 0]
+    at the new key (0, 0) (see the module docstring); its one digit is 1,
+    within the product's digit bound.  A step past the caps is refused, and
+    so never cached."""
     try:
         prev2 = xvar_recursive(r, n - 2)
         # q^(1/2) is central: scaling X_{n-1} once gives q^(r/2) X_{n-1}^r
@@ -68,7 +75,7 @@ def xvar_recursive(r: int, n: int) -> TorusElement:
     if (0, 0) in numerator.terms:
         raise AssertionError(f"X_{n - 1}^{r} has a constant term")
     numerator.terms[(0, 0)] = [1, 0, 0]
-    cur = left_divide(prev2, numerator)
+    cur = left_divide(prev2, numerator._replace(target=target))
     if cur.num_terms() > MAX_TERMS:
         raise BudgetExceeded(f"{cur.num_terms()} torus terms exceed the cap of {MAX_TERMS}")
     if cur.max_coeff_bits() > MAX_COEFF_BITS:
@@ -106,11 +113,31 @@ class GrTable(Record):
 
 
 def gr_table(r: int, n: int) -> GrTable:
-    """Extract the Grassmannian polynomials of X_n from the recursion."""
-    xn = xvar_recursive(r, n)  # refuses a too-deep chain before dim_vector's O(n) steps
+    """Extract the Grassmannian polynomials of X_n from the recursion: the
+    last exchange step decodes each quotient term straight into its P_e
+    (see ``_table_target``), so X_n itself is never built."""
+    _check_rn(r, n)
+    if n > 2:
+        xvar_recursive(r, n - 1)  # refuses a too-deep chain before dim_vector's O(n) steps
     d1, d2 = dim_vector(r, n)
-    entries = {}
-    for (a, b), coeff in xn.items():
+    table = GrTable(r, n, d1, d2, _step(r, n, _table_target(r, d1, d2))._t)
+    if table.entry(0, 0) != ONE or table.entry(d1, d2) != ONE:
+        raise ExtractionFailed("corner entries of the table are not 1")
+    return table
+
+
+def _table_target(r: int, d1: int, d2: int):
+    """The division target that reads the term of X_n at X1^a X2^b as
+    (e1, e2) -> P_e, k -> (k - prefactor2) / r on its doubled exponents.
+
+    Every coefficient lies on prefactor2 + 2rZ, so when the popped entry's
+    lo does and the run's stride g is a multiple of 2r (or the entry has one
+    digit) the packed lattice proves every exponent, and the entry is
+    decoded straight to P_e.  Otherwise it is decoded at the run's lattice
+    and checked term by term (``_compress``)."""
+    r2 = 2 * r
+
+    def decode(a, b, entry, width, g):
         if (a + d1) % r or (b + d2) % r:
             raise ExtractionFailed(f"term X1^{a} X2^{b} has non-integral indices")
         e2 = d2 - (a + d1) // r
@@ -118,24 +145,31 @@ def gr_table(r: int, n: int) -> GrTable:
         if not (0 <= e1 <= d1 and 0 <= e2 <= d2):
             raise ExtractionFailed(f"recovered ({e1}, {e2}) outside the box")
         prefactor2 = r * (e1 * e1 + (d2 - e2) ** 2) - d1 * d2
-        # one pass for coeff.shift2(-prefactor2).compress_power(r)
-        terms = {}
-        for k2, c in coeff._t.items():
-            k2 -= prefactor2
-            if k2 % 2 or k2 < 0 or (k2 // 2) % r:
-                raise ExtractionFailed(
-                    f"coefficient at ({e1}, {e2}) is not a polynomial in q^{r}: "
-                    f"exponent q^({k2}/2) is not a nonnegative multiple of {r}"
-                )
-            terms[k2 // r] = c
-        poly = QLaurent._raw(terms)
-        if poly.has_negative_coeff():
+        _, lo, hi = entry
+        if lo >= prefactor2 and not (lo - prefactor2) % r2 and (hi == lo or not g % r2):
+            terms = _decode(entry, width, g, prefactor2, r)
+        else:
+            terms = _compress(_decode(entry, width, g), prefactor2, r, e1, e2)
+        if min(terms.values()) < 0:
             raise ExtractionFailed(f"negative coefficient at ({e1}, {e2})")
-        entries[(e1, e2)] = poly
-    table = GrTable(r, n, d1, d2, entries)
-    if table.entry(0, 0) != ONE or table.entry(d1, d2) != ONE:
-        raise ExtractionFailed("corner entries of the table are not 1")
-    return table
+        return (e1, e2), terms
+
+    return decode
+
+
+def _compress(coeff: dict, prefactor2: int, r: int, e1: int, e2: int) -> dict:
+    """coeff.shift2(-prefactor2).compress_power(r) in one pass, checking
+    every exponent."""
+    terms = {}
+    for k2, c in coeff.items():
+        k2 -= prefactor2
+        if k2 % 2 or k2 < 0 or (k2 // 2) % r:
+            raise ExtractionFailed(
+                f"coefficient at ({e1}, {e2}) is not a polynomial in q^{r}: "
+                f"exponent q^({k2}/2) is not a nonnegative multiple of {r}"
+            )
+        terms[k2 // r] = c
+    return terms
 
 
 def assemble_xvar(table: GrTable) -> TorusElement:

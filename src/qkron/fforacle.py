@@ -89,7 +89,13 @@ def _code(vector, p: int) -> int:
 
 
 def _rank(rows, p: int) -> int:
-    """Rank over F_p of rows given as codes sum_j v_j 256^j, 0 <= v_j < p.
+    """Rank over F_p of rows given as codes sum_j v_j 256^j, 0 <= v_j < p."""
+    return len(_eliminate(rows, p, {}))
+
+
+def _eliminate(rows, p: int, basis: dict) -> dict:
+    """Add the rows (codes as for ``_rank``) to an echelon basis in place and
+    return it; its size is the rank.
 
     The basis is keyed by the leading byte.  At p = 2 a clearing step is
     one XOR.  At odd p each basis row is reduced and scaled so that its
@@ -99,7 +105,6 @@ def _rank(rows, p: int) -> int:
     each byte, so the row is reduced only when the next step could carry
     past a byte, or when it joins the basis.  The leading byte is read mod
     p, and masked away while it is a nonzero multiple of p."""
-    basis: dict = {}
     if p == 2:
         for v in rows:
             while v:
@@ -109,7 +114,7 @@ def _rank(rows, p: int) -> int:
                     basis[h] = v
                     break
                 v ^= w
-        return len(basis)
+        return basis
     step = (p - 1) ** 2
     for v in rows:
         top = p - 1  # every byte of v is at most top
@@ -133,7 +138,7 @@ def _rank(rows, p: int) -> int:
             tail, low = w
             v = (v & low) + (p - lead) * tail
             top += step
-    return len(basis)
+    return basis
 
 
 # -- subspace enumeration ------------------------------------------------------
@@ -145,11 +150,11 @@ def _num_subspaces(p: int, dim: int, k: int) -> int:
     return int(q_binomial(dim, k).evaluate(p))
 
 
-def _iter_bases(p: int, dim: int, k: int):
-    """Reduced-echelon bases of k-subspaces of F_p^dim, each row as the
-    integer sum_j v_j p^j, an index into the ``_row_table`` tables.  For each
-    pivot pattern the rows vary independently: row i is p^(pivot i) plus any
-    combination of the non-pivot columns after it."""
+def _row_choices(p: int, dim: int, k: int):
+    """For each reduced-echelon pivot pattern of k-subspaces of F_p^dim,
+    the choices of each row, as integers sum_j v_j p^j (indices into the
+    ``_row_table`` tables): row i is p^(pivot i) plus any combination of the
+    non-pivot columns after it, independently of the other rows."""
     for pivots in combinations(range(dim), k):
         choices = []
         for pi in pivots:
@@ -158,6 +163,12 @@ def _iter_bases(p: int, dim: int, k: int):
                 if j not in pivots:
                     row = [v + a * p**j for a in range(p) for v in row]
             choices.append(row)
+        yield choices
+
+
+def _iter_bases(p: int, dim: int, k: int):
+    """Reduced-echelon bases of k-subspaces of F_p^dim (see ``_row_choices``)."""
+    for choices in _row_choices(p, dim, k):
         yield from product(*choices)
 
 
@@ -236,8 +247,22 @@ def _preimage_dim_hist(mod: FFModule, u: int):
         return {d1 - _rank([_code(row, p) for phi in mod.phis for row in phi], p): 1}
     # 0 < u < d2: at least p^(d2-1) subspaces, which bounds the tables by p * MAX_SUBSPACES
     tables = [_row_table(phi, p) for phi in mod.phis]
-    return dict(Counter(d1 - _rank([tbl[w] for w in basis for tbl in tables], p)
-                        for basis in _iter_bases(p, d2, d2 - u)))
+    hist: Counter = Counter()
+
+    def walk(choices, basis):
+        # each choice of the first row extends a copy of the basis by its r
+        # images once, for every choice of the rows after it
+        rows, rest = choices[0], choices[1:]
+        for w in rows:
+            ext = _eliminate([tbl[w] for tbl in tables], p, basis.copy())
+            if rest:
+                walk(rest, ext)
+            else:
+                hist[d1 - len(ext)] += 1
+
+    for choices in _row_choices(p, d2, d2 - u):
+        walk(choices, {})
+    return dict(hist)
 
 
 def _row_table(phi, p: int) -> list:

@@ -204,8 +204,10 @@ def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) ->
         del acc[key]
 
 
-def _decode(entry, width: int, g: int) -> dict:
-    """The coefficient of a packed entry [value, lo, hi] at stride g.
+def _decode(entry, width: int, g: int, shift: int = 0, r: int = 1) -> dict:
+    """The coefficient of a packed entry [value, lo, hi] at stride g, each
+    exponent k keyed as (k - shift) / r: the caller proves that integral
+    on every digit, by r | lo - shift and, past one digit, r | g.
 
     [lo, hi] bounds the live digits from outside, so only the live top
     digits are read and ``_unpack`` drops the zero low ones.  Every |digit|
@@ -214,8 +216,8 @@ def _decode(entry, width: int, g: int) -> dict:
     keeps it; an overflowed top digit keeps the full length, and
     ``_unpack`` refuses it as before."""
     val, lo, hi = entry
-    bits = 8 * width
-    return _unpack(val, lo, min((hi - lo) // g + 1, val.bit_length() // bits + 1), width, g)
+    length = min((hi - lo) // g + 1, val.bit_length() // (8 * width) + 1)
+    return _unpack(val, (lo - shift) // r, length, width, g // r or 1)
 
 
 # -- the pair product -----------------------------------------------------------
@@ -316,8 +318,9 @@ def _pack_terms(t: dict, width: int, g: int) -> dict:
 
 # A packed term map: the entries {key: [value, lo, hi]} at stride g, each
 # digit of width bytes and of size at most bound, and bound at most a
-# quarter of the digit base, so ``_decode`` is exact.
-_Packed = namedtuple("_Packed", "terms width g bound")
+# quarter of the digit base, so ``_decode`` is exact.  A numerator may carry
+# the decode target of its division (see ``_divide_packed``).
+_Packed = namedtuple("_Packed", "terms width g bound target", defaults=(None,))
 
 
 def _decode_terms(p: _Packed) -> dict:
@@ -376,7 +379,10 @@ def _mul_pairs(t1: dict, t2: dict, pairs: list, decode: bool = True):
     The dict loop or the packed one (see ``_mul_packed``) runs.  With decode
     false the product is always a ``_Packed`` map: the packed loop's as it
     is, the dict loop's packed at its own stride (1 if it has none), with
-    its largest |coefficient| as the bound (0 if it is empty)."""
+    its largest |coefficient| as the bound (0 if it is empty).  A dict-loop
+    product whose packed digits would outnumber the work 64 to 1 is refused
+    as an AssertionError before it is packed: only the recursion asks for
+    the packed form, and its coefficients are dense."""
     prod = _mul_packed(t1, t2, pairs)
     if prod is not None:
         return _decode_terms(prod) if decode else prod
@@ -384,6 +390,9 @@ def _mul_pairs(t1: dict, t2: dict, pairs: list, decode: bool = True):
     if decode:
         return prod
     bound, g = _max_coeff(prod) if prod else 0, _offset_gcd(prod) or 1
+    work = sum(len(t1[k1]) * len(t2[k2]) for _, _, k1, k2 in pairs)
+    if sum((max(d) - min(d)) // g + 1 for d in prod.values()) > _MAX_PADDING * work:
+        raise AssertionError("a sparse product would pack past its padding bound")
     width = _digit_width(bound)
     return _Packed(_pack_terms(prod, width, g), width, g, bound)
 
@@ -411,7 +420,12 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
     bound, g); the quotient is None when a quotient coefficient exceeds the
     bound (which is then at least doubled) or a sum lands off the stride
     (g shrinks).
+
+    The quotient maps (az, bz) to the coefficient decoded at the run's
+    lattice, or, when n carries a target, target(az, bz, entry, width, g)
+    -> (key, coefficient dict) decodes each popped entry [value, lo, hi].
     """
+    target = n.target
     (ad, bd), cd = max(d.items())
     ((kd2, sign),) = cd.items()
     width = max(n.width, _division_width(d, n.bound, bound))
@@ -432,19 +446,23 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
         az, bz = an - ad, bn - bd
         if not (amin <= az <= amax and bmin <= bz <= bmax):
             raise DivisionFailed(f"quotient term X1^{az} X2^{bz} escapes the support box")
-        if (az, bz) in quot:
-            raise AssertionError("duplicate quotient exponent in left_divide")
         # cd * q^(-bd*az) * cz = cn  =>  cz = cn * q^(bd*az) / cd
         val, lo, hi = rem.pop((an, bn))
         zeros = ((val & -val).bit_length() - 1) // bits
         val, lo = val >> zeros * bits, lo + zeros * g
         sh = 2 * bd * az - kd2
         lo, hi = lo + sh, hi + sh
-        cz = _decode((val if sign > 0 else -val, lo, hi), width, g)
+        entry = (val if sign > 0 else -val, lo, hi)
+        if target is None:
+            key, cz = (az, bz), _decode(entry, width, g)
+        else:
+            key, cz = target(az, bz, entry, width, g)
         top = max(map(abs, cz.values()))
         if top > bound:
             return None, max(2 * bound, top), g
-        quot[(az, bz)] = QLaurent._raw(cz)
+        if key in quot:
+            raise AssertionError("duplicate quotient exponent in left_divide")
+        quot[key] = QLaurent._raw(cz)
         try:
             for (a, b), (v, vlo, vhi) in terms.items():
                 sh = -2 * b * az

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import time
 
 import pytest
@@ -132,6 +135,108 @@ def test_dict_loop_products_reach_the_division_packed(monkeypatch):
     finally:
         xvar_recursive.cache_clear()
     assert calls and all(isinstance(n, qlmod._Packed) for n in calls)
+
+
+def _extracted(r, n):
+    """The table read off the whole X_n term by term, with the checks of
+    gr_table's fallback."""
+    d1, d2 = dim_vector(r, n)
+    entries = {}
+    for (a, b), coeff in xvar_recursive(r, n).items():
+        assert (a + d1) % r == 0 and (b + d2) % r == 0
+        e2, e1 = d2 - (a + d1) // r, (b + d2) // r
+        assert 0 <= e1 <= d1 and 0 <= e2 <= d2
+        prefactor2 = r * (e1 * e1 + (d2 - e2) ** 2) - d1 * d2
+        terms = {}
+        for k2, c in coeff.items2():
+            k2 -= prefactor2
+            assert k2 % 2 == 0 and k2 >= 0 and (k2 // 2) % r == 0
+            terms[k2 // r] = c
+        entries[(e1, e2)] = QLaurent(terms)
+    return GrTable(r, n, d1, d2, entries)
+
+
+def _spy_fallbacks(monkeypatch):
+    """Record the (e1, e2) of every entry the table target checks term by term."""
+    seen, compress = [], cluster._compress
+
+    def spy(coeff, prefactor2, r, e1, e2):
+        seen.append((e1, e2))
+        return compress(coeff, prefactor2, r, e1, e2)
+
+    monkeypatch.setattr(cluster, "_compress", spy)
+    return seen
+
+
+@pytest.mark.parametrize("r, n", sorted({*BRIDGE_PAIRS, *TRIO, (2, 8)}))
+def test_gr_table_equals_the_extraction_of_x_n(monkeypatch, r, n):
+    fallbacks = _spy_fallbacks(monkeypatch)
+    assert gr_table(r, n).to_obj() == _extracted(r, n).to_obj()
+    assert fallbacks == []  # every stride proves its lattice
+
+
+def _digest(table):
+    return hashlib.sha256(json.dumps(table.to_obj(), sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable")
+@pytest.mark.parametrize("r, n, want", [(4, 6, "c04a63c08fd9bb91"), (3, 7, "10c1f6be5554db44")])
+def test_gr_table_digests_past_the_trio(r, n, want):
+    assert _digest(gr_table(r, n)) == want
+
+
+def test_a_stride_that_proves_nothing_falls_back_to_the_term_checks(monkeypatch):
+    import qkron.qlaurent as qlmod
+
+    # the products repacked at stride 1 make the last run's stride 1 too
+    mul = cluster._mul_large
+
+    def fine(t1, t2, decode=True):
+        prod = mul(t1, t2, decode)
+        terms = qlmod._pack_terms(qlmod._decode_terms(prod), prod.width, 1)
+        return prod._replace(terms=terms, g=1)
+
+    want = _extracted(3, 6).to_obj()
+    monkeypatch.setattr(cluster, "_mul_large", fine)
+    fallbacks = _spy_fallbacks(monkeypatch)
+    table = gr_table(3, 6)
+    assert table.to_obj() == want
+    # every entry of more than one digit is checked term by term
+    wide = {e for e, p in table.entries.items() if p.num_terms() > 1}
+    assert wide and wide <= set(fallbacks)
+
+
+@pytest.mark.parametrize("r", [2, 3, 7])
+def test_one_digit_entries_take_the_lattice_at_any_stride(monkeypatch, r):
+    import qkron.torus as tmod
+
+    # X_3 = q^(r/2) X1^-1 X2^r + X1^-1: one-term entries on a run of stride 1
+    strides, run = [], tmod._divide_packed
+
+    def spy(d, n, box, bound, g):
+        strides.append(g)
+        return run(d, n, box, bound, g)
+
+    monkeypatch.setattr(tmod, "_divide_packed", spy)
+    fallbacks = _spy_fallbacks(monkeypatch)
+    assert gr_table(r, 3).entries == {(0, 0): ONE, (1, 0): ONE}
+    assert strides == [1] and fallbacks == []
+
+
+def test_gr_table_holds_no_copy_of_x_n(monkeypatch):
+    import tracemalloc
+
+    # warm: X_4 is cached, and the last step's peak is its numerator and
+    # the table; a copy of X_5 beside the table (6.9 MB) exceeds the bound
+    xvar_recursive(7, 4)
+    tracemalloc.start()
+    try:
+        gr_table(7, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_500_000, peak
 
 
 # the instances whose tables the slope and constant-term tests read
@@ -329,6 +434,21 @@ def test_table_json_shape():
     ({(-2, -1): QLaurent.q_power(-2)}, "corner entries"),
 ])
 def test_gr_table_refuses_what_it_cannot_extract(monkeypatch, terms, match):
-    monkeypatch.setattr(cluster, "xvar_recursive", lambda r, n: TorusElement(terms))
+    from qkron.qlaurent import _digit_width, _max_coeff, _pack_terms
+    from qkron.torus import _terms
+
+    # the last step divides the terms, packed at stride 1, by 1 with the
+    # table's decode target; the steps before it run as they are
+    t = _terms(TorusElement(terms)._t)
+    bound = _max_coeff(t)
+    width = _digit_width(bound)
+
+    def inject(d, n):
+        if n.target is not None:
+            d = TorusElement.one()
+            n = n._replace(terms=_pack_terms(t, width, 1), width=width, g=1, bound=bound)
+        return left_divide(d, n)
+
+    monkeypatch.setattr(cluster, "left_divide", inject)
     with pytest.raises(ExtractionFailed, match=match):
         gr_table(2, 4)

@@ -454,17 +454,37 @@ def test_recursion_packs_on_the_2r_lattice(monkeypatch):
     assert steps and set(steps) == {6}
 
 
-def test_sparse_spans_multiply_pair_by_pair(monkeypatch):
+def _sparse_operands():
     # 1 + q + q^2 + q^50000 spans 50001 digits with 4 terms: packing the
-    # 1024 pairs densely takes tens of seconds, the dict loop milliseconds
+    # 1024 pairs densely takes seconds, the dict loop milliseconds
+    c = QLaurent({0: 1, 2: 1, 4: 1, 100000: 1})
+    a = TorusElement(((i % 8, i // 8), c.shift2(i)) for i in range(32))
+    b = TorusElement(((i // 4 - 3, i % 4), c) for i in range(32))
+    return a, b
+
+
+def test_sparse_spans_multiply_pair_by_pair(monkeypatch):
     def check(t, length, step):
         assert length <= 64 * len(t), f"packed {len(t)} terms into {length} digits"
 
     _spy_pack(monkeypatch, check)
-    c = QLaurent({0: 1, 2: 1, 4: 1, 100000: 1})
-    a = TorusElement(((i % 8, i // 8), c.shift2(i)) for i in range(32))
-    b = TorusElement(((i // 4 - 3, i % 4), c) for i in range(32))
+    a, b = _sparse_operands()
     assert a * b == _bilinear(a, b)
+
+
+def test_a_sparse_product_is_refused_before_it_is_packed(monkeypatch):
+    import time
+
+    from qkron.torus import _mul_large
+
+    # the packed hand-over would pad the dict loop's product densely
+    packs = []
+    _spy_pack(monkeypatch, lambda t, length, step: packs.append(length))
+    a, b = _sparse_operands()
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="padding bound"):
+        _mul_large(a._t, b._t, decode=False)
+    assert time.perf_counter() - start < 0.5 and packs == []
 
 
 def _spy_runs(monkeypatch):
