@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BudgetExceeded, ExtractionFailed
+from .errors import BudgetExceeded, ExtractionFailed, NotAPowerSeriesInQr
 from .qlaurent import ONE, QLaurent, _check_rn, _decode, _split_power, dim_vector
 from .records import Record
 from .torus import TorusElement, _mul_large, left_divide
@@ -144,7 +144,7 @@ def _table_target(r: int, d1: int, d2: int):
         e1 = (b + d2) // r
         if not (0 <= e1 <= d1 and 0 <= e2 <= d2):
             raise ExtractionFailed(f"recovered ({e1}, {e2}) outside the box")
-        prefactor2 = r * (e1 * e1 + (d2 - e2) ** 2) - d1 * d2
+        prefactor2 = _prefactor2(r, d1, d2, e1, e2)
         _, lo, hi = entry
         if lo >= prefactor2 and not (lo - prefactor2) % r2 and (hi == lo or not g % r2):
             terms = _decode(entry, width, g, prefactor2, r)
@@ -157,27 +157,26 @@ def _table_target(r: int, d1: int, d2: int):
     return decode
 
 
+def _prefactor2(r: int, d1: int, d2: int, e1: int, e2: int) -> int:
+    """c_e = r(e1^2 + (d2-e2)^2) - d1 d2, the doubled exponent of the
+    prefactor q^(c_e/2) of P_e(q^r) in X_n (see the module docstring)."""
+    return r * (e1 * e1 + (d2 - e2) ** 2) - d1 * d2
+
+
 def _compress(coeff: dict, prefactor2: int, r: int, e1: int, e2: int) -> dict:
-    """coeff.shift2(-prefactor2).compress_power(r) in one pass, checking
-    every exponent."""
-    terms = {}
-    for k2, c in coeff.items():
-        k2 -= prefactor2
-        if k2 % 2 or k2 < 0 or (k2 // 2) % r:
-            raise ExtractionFailed(
-                f"coefficient at ({e1}, {e2}) is not a polynomial in q^{r}: "
-                f"exponent q^({k2}/2) is not a nonnegative multiple of {r}"
-            )
-        terms[k2 // r] = c
-    return terms
+    """coeff.shift2(-prefactor2).compress_power(r), refused as
+    ``ExtractionFailed``."""
+    try:
+        return QLaurent._raw(coeff).shift2(-prefactor2).compress_power(r)._t
+    except NotAPowerSeriesInQr as err:
+        raise ExtractionFailed(
+            f"coefficient at ({e1}, {e2}) is not a polynomial in q^{r}: {err}"
+        ) from None
 
 
 def assemble_xvar(table: GrTable) -> TorusElement:
     """Rebuild the cluster variable from its table (inverse of gr_table)."""
-    terms = {}
-    for (e1, e2), poly in table.entries.items():
-        a = -table.d1 + table.r * (table.d2 - e2)
-        b = table.r * e1 - table.d2
-        prefactor2 = table.r * (e1 * e1 + (table.d2 - e2) ** 2) - table.d1 * table.d2
-        terms[(a, b)] = poly.substitute_power(table.r).shift2(prefactor2)
-    return TorusElement(terms)
+    r, d1, d2 = table.r, table.d1, table.d2
+    return TorusElement({(-d1 + r * (d2 - e2), r * e1 - d2):
+                         poly.substitute_power(r).shift2(_prefactor2(r, d1, d2, e1, e2))
+                         for (e1, e2), poly in table.entries.items()})

@@ -30,10 +30,11 @@ except ImportError:  # pragma: no cover - exercised via an explicit test stub
     def _mpz(x):
         return x
 
-# Products of at most this many pairs of nonzero coefficient terms go through
-# the plain dict loop; larger dense operands are multiplied via big-integer
-# (Kronecker) packing, which is much faster for the polynomials that appear
-# in cluster-variable recursions.
+# Decoded products of at most this many pairs of nonzero coefficient terms go
+# through the plain dict loop; larger dense operands, and every product asked
+# for in packed form, are multiplied via big-integer (Kronecker) packing,
+# which is much faster for the polynomials that appear in cluster-variable
+# recursions.
 _SCHOOLBOOK_LIMIT = 96
 
 # Spans so sparse that packed digits would outnumber the nonzero terms by
@@ -328,11 +329,12 @@ def _decode_terms(p: _Packed) -> dict:
     return {key: _decode(entry, p.width, p.g) for key, entry in p.terms.items()}
 
 
-def _mul_packed(t1: dict, t2: dict, pairs: list):
+def _mul_packed(t1: dict, t2: dict, pairs: list, small: int = -1):
     """The pair product on packed coefficients as a ``_Packed`` term map,
-    or None when the dict loop should run: for small work (the sum of
-    len(t1[k1]) * len(t2[k2]) over the pairs) and for spans so sparse that
-    the packed digits would outnumber the work 64 to 1.
+    or None, before anything is packed, for work (the sum of
+    len(t1[k1]) * len(t2[k2]) over the pairs) of at most small term pairs
+    and for spans so sparse that the packed digits would outnumber the work
+    64 to 1.
 
     Every coefficient is packed once at one digit width and one stride g,
     and each pair is one integer multiplication and one ``_add_aligned``.
@@ -343,10 +345,10 @@ def _mul_packed(t1: dict, t2: dict, pairs: list):
     at most min(|c1|_1 |c2|_inf, |c1|_inf |c2|_1), so an output digit is at
     most the sum of that over the pairs on its key; the bound is that sum
     on the worst key, raised to every operand's largest |coefficient|,
-    since ``mat_mul`` packs entries that no pair uses.
+    since ``mat_mul`` packs entries that no pair uses (0 with no operand).
     """
     work = sum(len(t1[k1]) * len(t2[k2]) for _, _, k1, k2 in pairs)
-    if work <= _SCHOOLBOOK_LIMIT:
+    if work <= small:
         return None
     norms1 = _norms(t1)
     norms2 = norms1 if t2 is t1 else _norms(t2)
@@ -363,8 +365,8 @@ def _mul_packed(t1: dict, t2: dict, pairs: list):
                   for t, lo in ((t1, lo1), (t2, lo2)))
     if sum(dig1[k1] * dig2[k2] for _, _, k1, k2 in pairs) > _MAX_PADDING * work:
         return None
-    bound = max(*per_key.values(), *(m for _, m in norms1.values()),
-                *(m for _, m in norms2.values()))
+    bound = max([*per_key.values(), *(m for _, m in norms1.values()),
+                 *(m for _, m in norms2.values())], default=0)
     width = _digit_width(bound)
     p1 = _pack_terms(t1, width, g)
     p2 = p1 if t2 is t1 else _pack_terms(t2, width, g)
@@ -376,25 +378,19 @@ def _mul_packed(t1: dict, t2: dict, pairs: list):
 def _mul_pairs(t1: dict, t2: dict, pairs: list, decode: bool = True):
     """The pair product {out_key: sum of q^(shift/2) t1[k1] t2[k2]} over the
     (out_key, doubled shift, k1, k2) pairs; keys that cancel are dropped.
-    The dict loop or the packed one (see ``_mul_packed``) runs.  With decode
-    false the product is always a ``_Packed`` map: the packed loop's as it
-    is, the dict loop's packed at its own stride (1 if it has none), with
-    its largest |coefficient| as the bound (0 if it is empty).  A dict-loop
-    product whose packed digits would outnumber the work 64 to 1 is refused
-    as an AssertionError before it is packed: only the recursion asks for
+    The packed loop runs (see ``_mul_packed``), except that a decoded
+    product of at most ``_SCHOOLBOOK_LIMIT`` term pairs of work, or one
+    whose spans the packed loop declines as too sparse, runs the dict loop.
+    With decode false the product is always the packed loop's ``_Packed``
+    map, as it is, and a span too sparse for it is refused as an
+    AssertionError before anything is packed: only the recursion asks for
     the packed form, and its coefficients are dense."""
-    prod = _mul_packed(t1, t2, pairs)
+    prod = _mul_packed(t1, t2, pairs, _SCHOOLBOOK_LIMIT if decode else -1)
     if prod is not None:
         return _decode_terms(prod) if decode else prod
-    prod = _mul_dicts(t1, t2, pairs)
-    if decode:
-        return prod
-    bound, g = _max_coeff(prod) if prod else 0, _offset_gcd(prod) or 1
-    work = sum(len(t1[k1]) * len(t2[k2]) for _, _, k1, k2 in pairs)
-    if sum((max(d) - min(d)) // g + 1 for d in prod.values()) > _MAX_PADDING * work:
+    if not decode:
         raise AssertionError("a sparse product would pack past its padding bound")
-    width = _digit_width(bound)
-    return _Packed(_pack_terms(prod, width, g), width, g, bound)
+    return _mul_dicts(t1, t2, pairs)
 
 
 def _division_width(d: dict, nbound: int, bound: int) -> int:

@@ -7,12 +7,19 @@ preimage-dimension strata inside the ordinary Grassmannian Gr_{e2}(M_2):
     open stratum   Z'(p)    = sum_{e1>=p} (-1)^(e1-p) q^C(e1-p,2) [e1 choose p]_q P_{e1,e2}
     closed stratum Zbar'(p) = sum_{e1>=p} (-1)^(e1-p) q^C(e1-p+1,2) [e1-1 choose e1-p]_q P_{e1,e2}
 
-and conversely P_{e1,e2} = sum_p [p choose e1]_q Z'(p).  The closed-stratum
-weights use the convention [−1 choose 0]_q = 1 at the (0, 0) corner.  The
-stratum tables come from one q-Pascal sweep per column, with no polynomial
-product; ``transform_matrix`` and ``closed_zbar_m6`` keep the signed weights,
-and the weighted sums are matrix products (``qlaurent.mat_mul``), which run
-on the same pair product as the torus recursion.
+and conversely P_{e1,e2} = sum_p [p choose e1]_q Z'(p).  Each signed weight
+is written once, ``_open_weight`` and ``_closed_weight``; since Zbar'(p) is
+the tail sum of the Z'(k) over k >= p, the closed weight at (e1, p) is the
+sum of the open weights at (e1, k) over k >= p, the signed q-binomial
+identity that ``verify --suite alternating`` checks on these two functions.
+The closed weights use the convention [−1 choose 0]_q = 1 at the (0, 0)
+corner.  The stratum tables come from one q-Pascal sweep per column, with no
+polynomial product.  One upper-triangular builder gives both
+``q_binomial_matrix`` and its inverse ``transform_matrix`` (the open
+weights); ``transform_matrix`` and ``closed_zbar_m6`` keep the signed
+weights as checks independent of the sweep, and the weighted sums are matrix
+products (``qlaurent.mat_mul``), which run on the same pair product as the
+torus recursion.
 
 For M_6, of dimension vector ``dim_vector(r, 6)``, and e2 = 1 both sides
 have closed forms valid for every r; ``closed_zbar_m6`` produces, among
@@ -31,14 +38,17 @@ from .qlaurent import QLaurent, _check_rn, _shift_add, dim_vector, mat_mul, q_bi
 from .records import Record
 
 
-def q_binomial_matrix(size: int):
-    """Upper-triangular matrix with (i, j) entry [j choose i]_q (0-indexed)."""
+def _upper_triangular(size: int, entry):
+    """The size x size matrix with (i, j) entry entry(j, i) for i <= j, zero below."""
     if size < 1:
         raise InvalidParameter("matrix size must be positive")
-    return [
-        [q_binomial(j, i) if i <= j else QLaurent.zero() for j in range(size)]
-        for i in range(size)
-    ]
+    return [[entry(j, i) if i <= j else QLaurent.zero() for j in range(size)]
+            for i in range(size)]
+
+
+def q_binomial_matrix(size: int):
+    """Upper-triangular matrix with (i, j) entry [j choose i]_q (0-indexed)."""
+    return _upper_triangular(size, q_binomial)
 
 
 def _open_weight(e1: int, p: int) -> QLaurent:
@@ -56,12 +66,7 @@ def _closed_weight(e1: int, p: int) -> QLaurent:
 def transform_matrix(size: int):
     """Inverse of ``q_binomial_matrix``: (i, j) entry ``_open_weight(j, i)``
     for i <= j, zero below."""
-    if size < 1:
-        raise InvalidParameter("matrix size must be positive")
-    return [
-        [_open_weight(j, i) if i <= j else QLaurent.zero() for j in range(size)]
-        for i in range(size)
-    ]
+    return _upper_triangular(size, _open_weight)
 
 
 class StrataTable(Record):
@@ -121,6 +126,8 @@ def _strata(col, d1: int):
 
 def strata_from_gr(table: GrTable, e2: int) -> StrataTable:
     """Invert the Grassmannian column at e2 into stratum polynomials."""
+    if not isinstance(e2, int):
+        raise InvalidParameter(f"e2 must be an integer, got {e2!r}")
     if not 0 <= e2 <= table.d2:
         raise InvalidParameter(f"e2 must lie in 0..{table.d2}, got {e2}")
     column = [table.entry(e1, e2) for e1 in range(table.d1 + 1)]

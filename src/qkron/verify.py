@@ -79,22 +79,16 @@ def suite_qpascal():
 
 
 def suite_alternating():
-    ok = True
-    for e1 in range(0, 21):
-        for p in range(0, e1 + 1):
-            lhs = QLaurent.zero()
-            for i in range(0, e1 - p + 1):
-                term = q_binomial(e1, i).shift2(2 * math.comb(i, 2))
-                lhs = lhs + (term.scale(-1) if i % 2 else term)
-            rhs = q_binomial(e1 - 1, e1 - p).shift2(2 * math.comb(e1 - p + 1, 2))
-            if (e1 - p) % 2:
-                rhs = -rhs
-            if lhs != rhs:
-                ok = False
-    spot = QLaurent.zero()
-    for i in range(0, 2):
-        t = q_binomial(2, i).shift2(2 * math.comb(i, 2))
-        spot = spot + (t.scale(-1) if i % 2 else t)
+    # the weights the strata use: each closed weight is the tail sum of the
+    # open ones, sum_{k>=p} (-1)^(e1-k) q^C(e1-k,2) [e1 choose k]_q
+    # = (-1)^(e1-p) q^C(e1-p+1,2) [e1-1 choose e1-p]_q
+    opened, closed = strata._open_weight, strata._closed_weight
+    ok = all(
+        closed(e1, p) == sum((opened(e1, k) for k in range(p, e1 + 1)), ZERO)
+        for e1 in range(0, 21)
+        for p in range(0, e1 + 1)
+    )
+    spot = opened(2, 1) + opened(2, 2)
     yield "signed binomial tail sum, 0 <= p <= e1 <= 20 (231 cases)", ok
     yield "spot value e1=2, p=1 equals -q", spot == QLaurent.q_power(2, -1)
 
@@ -307,12 +301,12 @@ def suite_ffstrata():
             for e2 in range(0, d2 + 1):
                 target = fforacle.count_gr(mod, e1, e2)
                 via_zp = sum(
-                    int(q_binomial(pp, e1).evaluate(p))
+                    fforacle._num_subspaces(p, pp, e1)
                     * fforacle.count_strata(mod, "zp", pp, d2 - e2)
                     for pp in range(0, d1 + 1)
                 )
                 via_z = sum(
-                    int(q_binomial(pp, e2 - d2 + pp).evaluate(p))
+                    fforacle._num_subspaces(p, pp, e2 - d2 + pp)
                     * fforacle.count_strata(mod, "z", pp, e1)
                     for pp in range(0, d2 + 1)
                 )

@@ -96,7 +96,7 @@ def test_the_numerator_reaches_the_division_packed_and_undecoded(monkeypatch):
     xvar_recursive.cache_clear()
     for r, n in TRIO:
         gr_table(r, n)
-    # every step's product, packed or dict loop, reaches the division packed
+    # every step's product is the packed loop's, and reaches the division as it is
     assert len(calls) == 10 and all(isinstance(c, qlmod._Packed) for c in calls)
     divides = [i for i, e in enumerate(events) if e == "divide"]
     assert len(divides) == len(calls)
@@ -124,6 +124,9 @@ def test_the_power_is_freed_before_the_division(monkeypatch):
 def test_dict_loop_products_reach_the_division_packed(monkeypatch):
     import qkron.qlaurent as qlmod
 
+    # with every decoded product of the powers on the dict loop, each step's
+    # last product is still the packed loop's, which no limit on small work
+    # reaches, and X_n is unchanged
     pairs = TRIO[1:]  # (7, 5) on the dict loop alone takes seconds
     xvar_recursive.cache_clear()
     want = [xvar_recursive(r, n) for r, n in pairs]

@@ -124,6 +124,18 @@ def test_suite_matrix_sees_a_perturbed_entry(monkeypatch):
     assert [ok for _, ok, *_ in verify.suite_matrix()] == [False]
 
 
+def test_suite_alternating_reads_the_strata_weights(monkeypatch):
+    assert [check.ok for check in verify.run_suite("alternating")] == [True, True]
+    closed = strata._closed_weight
+
+    def flipped(e1, p):
+        w = closed(e1, p)
+        return -w if e1 > p else w
+
+    monkeypatch.setattr(strata, "_closed_weight", flipped)
+    assert [check.ok for check in verify.run_suite("alternating")] == [False, True]
+
+
 def test_transform_is_inverse_small():
     for size in (1, 2, 5, 8):
         prod = _matmul(transform_matrix(size), q_binomial_matrix(size))
@@ -174,8 +186,14 @@ def test_zbar_tail_sums():
 
 
 def test_strata_invalid_e2():
-    with pytest.raises(InvalidParameter):
-        strata_from_gr(gr_table(2, 4), 2)
+    table = gr_table(2, 4)
+    with pytest.raises(InvalidParameter, match=r"^e2 must lie in 0\.\.1, got 2$"):
+        strata_from_gr(table, 2)
+    # a non-integer e2 is refused, as closed_gr_m6 refuses a non-integer e1,
+    # not read as an empty column or failed on as a comparison
+    for e2 in (0.5, 1.0, "1", None):
+        with pytest.raises(InvalidParameter, match="e2 must be an integer"):
+            strata_from_gr(table, e2)
 
 
 def test_closed_gr_examples():

@@ -299,27 +299,33 @@ def test_a_product_of_distinct_operands_reuses_no_product():
     assert _mul_pairs(t1, t2, pairs) == _mul_dicts(t1, t2, pairs)
 
 
-def test_a_dict_loop_product_is_handed_over_packed():
-    from qkron.qlaurent import (_decode_terms, _digit_width, _max_coeff, _mul_dicts, _mul_packed,
-                                _mul_pairs, _Packed, _twisted)
+def test_only_the_packed_loop_packs_a_product(monkeypatch):
+    import qkron.qlaurent as qlmod
     from qkron.torus import _terms
 
-    c = QLaurent({0: 1, 2: 1, 4: 1, 2000: 1})  # so sparse that it takes the dict loop
-    sparse = (TorusElement(((i % 8, i // 8), c.shift2(i)) for i in range(32)),
-              TorusElement(((i // 4 - 3, i % 4), c) for i in range(32)))
+    # small work, which a decoded product takes to the dict loop
     small = (X1 + TorusElement.monomial(0, 1, QLaurent({4: -3, 10: 7})), X2 - X1)
-    cases = [tuple(_terms(x._t) for x in xs) + (None,) for xs in (sparse, small)]
-    # 3 q - 3 q on one key: a product that cancels to nothing
-    cases.append(({0: {0: 1}, 1: {0: -1}}, {0: {2: 3}}, [(0, 0, 0, 0), (0, 0, 1, 0)]))
+    cases = [(*(_terms(x._t) for x in small), None),
+             # 3 q - 3 q on one key: a product that cancels to nothing
+             ({0: {0: 1}, 1: {0: -1}}, {0: {2: 3}}, [(0, 0, 0, 0), (0, 0, 1, 0)])]
+    mul_dicts, dict_products = qlmod._mul_dicts, []
+    monkeypatch.setattr(qlmod, "_mul_dicts", lambda *args: dict_products.append(1) or mul_dicts(*args))
     for t1, t2, pairs in cases:
-        pairs = pairs or _twisted(t1, t2)
-        assert _mul_packed(t1, t2, pairs) is None
-        want = _mul_dicts(t1, t2, pairs)
-        prod = _mul_pairs(t1, t2, pairs, decode=False)
-        assert isinstance(prod, _Packed) and _decode_terms(prod) == want
-        assert prod.bound == (_max_coeff(want) if want else 0)
-        assert prod.width == _digit_width(prod.bound)
-    assert prod == _Packed({}, 1, 1, 0)
+        pairs = pairs or qlmod._twisted(t1, t2)
+        prod = qlmod._mul_pairs(t1, t2, pairs, decode=False)
+        assert isinstance(prod, qlmod._Packed) and dict_products == []
+        assert qlmod._decode_terms(prod) == mul_dicts(t1, t2, pairs)
+    assert prod.terms == {}
+    # a span too sparse for the packed loop is refused before anything is
+    # packed, and no dict-loop product is packed in its place
+    c = QLaurent({0: 1, 2: 1, 4: 1, 2000: 1})
+    t1 = _terms(TorusElement(((i % 8, i // 8), c.shift2(i)) for i in range(32))._t)
+    t2 = _terms(TorusElement(((i // 4 - 3, i % 4), c) for i in range(32))._t)
+    packs = []
+    _spy_pack(monkeypatch, lambda t, length, step: packs.append(length))
+    with pytest.raises(AssertionError, match="padding bound"):
+        qlmod._mul_pairs(t1, t2, qlmod._twisted(t1, t2), decode=False)
+    assert packs == [] and dict_products == []
 
 
 def _old_width(t1, t2, pairs):
@@ -339,8 +345,8 @@ def _spy_widths(monkeypatch):
 
     widths, mul = [], qlmod._mul_packed
 
-    def spy(t1, t2, pairs):
-        out = mul(t1, t2, pairs)
+    def spy(t1, t2, pairs, small=-1):
+        out = mul(t1, t2, pairs, small)
         if out is not None:
             widths.append((out.width, _old_width(t1, t2, pairs)))
         return out
