@@ -38,9 +38,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BudgetExceeded, ExtractionFailed, NotAPowerSeriesInQr
-from .qlaurent import ONE, QLaurent, _check_rn, _decode, _split_power, dim_vector
+from .qlaurent import ONE, QLaurent, _check_rn, _decode, _power, dim_vector
 from .records import Record
-from .torus import TorusElement, _mul_large, left_divide
+from .torus import TorusElement, _mul_large, _pack_element, left_divide
 
 # Each recursion step is refused, and so never cached, past these sizes.
 MAX_TERMS = 500_000
@@ -59,19 +59,20 @@ def xvar_recursive(r: int, n: int) -> TorusElement:
 def _step(r: int, n: int, target=None) -> TorusElement:
     """X_n by one exact left division, from the cached X_{n-2} and X_{n-1},
     or, given a decode target, the quotient as the target keys and decodes
-    it (see ``qlaurent._divide_packed``).  The last product of the power
-    reaches the division packed, and the 1 goes in as the entry [1, 0, 0]
-    at the new key (0, 0) (see the module docstring); its one digit is 1,
-    within the product's digit bound.  A step past the caps is refused, and
-    so never cached."""
+    it (see ``qlaurent._divide_packed``).  X_{n-1} is packed once, and the
+    power is left packed from there to the division: every square and
+    every product by X_{n-1} is one ``_mul_large`` of packed term maps.  The
+    1 goes in as the entry [1, 0, 0] at the new key (0, 0) (see the module
+    docstring); its one digit is 1, within the product's digit bound.  A
+    step past the caps is refused, and so never cached."""
     try:
         prev2 = xvar_recursive(r, n - 2)
         # q^(1/2) is central: scaling X_{n-1} once gives q^(r/2) X_{n-1}^r
-        y, z = _split_power(xvar_recursive(r, n - 1).scale2(1), r)
+        x = _pack_element(xvar_recursive(r, n - 1).scale2(1))
     except RecursionError:  # raised while descending the cold chain, before any work
         raise BudgetExceeded("the uncached chain is deeper than Python's recursion limit") from None
-    numerator = _mul_large(y._t, z._t, decode=False)
-    del y, z  # freed before the division, where the step peaks in memory
+    numerator = _power(x, r, None, _mul_large)
+    del x  # freed before the division, where the step peaks in memory
     if (0, 0) in numerator.terms:
         raise AssertionError(f"X_{n - 1}^{r} has a constant term")
     numerator.terms[(0, 0)] = [1, 0, 0]

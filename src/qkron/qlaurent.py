@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import sub
+from operator import mul, sub
 
 from .errors import (
     DivisionFailed,
@@ -131,8 +131,8 @@ def _pack(t: dict, lo: int, length: int, width: int, step: int = 1):
     return _mpz(int.from_bytes(raw, "little") - _offset(length, width))
 
 
-def _unpack(val, lo: int, length: int, width: int, step: int = 1, signed: bool = True) -> dict:
-    """Decode of a packed value into {lo + step*i: digit}, dropping zeros.
+def _digits(val, length: int, width: int, signed: bool = True) -> list:
+    """The length digits of a packed value, lowest first.
 
     Signed (balanced) digits: adding half the base to every digit makes all
     digits nonnegative without carries (|digit| < half), so the byte string
@@ -147,39 +147,60 @@ def _unpack(val, lo: int, length: int, width: int, step: int = 1, signed: bool =
     if val < 0 or val.bit_length() > 8 * width * length:
         raise AssertionError("packed multiplication exceeded its digit bound")
     raw = val.to_bytes(length * width, "little")
-    if width <= 8:
-        lane = 1 << (width - 1).bit_length()
-        if signed:
-            lanes = bytearray(lane * length)
-            for j in range(width - 1):
-                lanes[j::lane] = raw[j::width]
-            top = raw[width - 1 :: width]
-            lanes[width - 1 :: lane] = top.translate(_FLIP)
-            top = top.translate(_SIGN)
-            for j in range(width, lane):
-                lanes[j::lane] = top
-        elif width == lane:  # the digits are the lanes
-            lanes = raw
-        else:
-            lanes = bytearray(lane * length)
-            for j in range(width):
-                lanes[j::lane] = raw[j::width]
-        digits = array((_LANES if signed else _UNSIGNED_LANES)[lane], lanes)
-        if _BIG_ENDIAN:
-            digits.byteswap()
-        digits = digits.tolist()
-    else:
+    if width > 8:
         half = 1 << (8 * width - 1) if signed else 0
         frm = int.from_bytes
-        digits = [frm(raw[i : i + width], "little") - half for i in range(0, length * width, width)]
+        return [frm(raw[i : i + width], "little") - half for i in range(0, length * width, width)]
+    lane = 1 << (width - 1).bit_length()
+    if signed:
+        lanes = bytearray(lane * length)
+        for j in range(width - 1):
+            lanes[j::lane] = raw[j::width]
+        top = raw[width - 1 :: width]
+        lanes[width - 1 :: lane] = top.translate(_FLIP)
+        top = top.translate(_SIGN)
+        for j in range(width, lane):
+            lanes[j::lane] = top
+    elif width == lane:  # the digits are the lanes
+        lanes = raw
+    else:
+        lanes = bytearray(lane * length)
+        for j in range(width):
+            lanes[j::lane] = raw[j::width]
+    digits = array((_LANES if signed else _UNSIGNED_LANES)[lane], lanes)
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    return digits.tolist()
+
+
+def _unpack(val, lo: int, length: int, width: int, step: int = 1, signed: bool = True) -> dict:
+    """Decode of a packed value into {lo + step*i: digit}, dropping zeros
+    (see ``_digits``)."""
+    digits = _digits(val, length, width, signed)
     return dict(compress(zip(range(lo, lo + step * length, step), digits), digits))
+
+
+def _respace(val, length: int, old: int, new: int):
+    """A value of length signed digits of old bytes each, with every digit
+    moved to new bytes, for digits that fit both widths.  Column by column
+    in C: the bytes of each digit's two's complement below the narrower top
+    byte are kept, a wider digit takes sign bytes (see ``_SIGN``), and the
+    new top byte is flipped back to the balanced digit."""
+    raw = int(val + _offset(length, old)).to_bytes(length * old, "little")
+    top = raw[old - 1 :: old]
+    sign = top.translate(_SIGN)
+    out = bytearray(length * new)
+    for j in range(new):
+        col = raw[j::old] if j < old - 1 else top.translate(_FLIP) if j == old - 1 else sign
+        out[j::new] = col.translate(_FLIP) if j == new - 1 else col
+    return _mpz(int.from_bytes(out, "little") - _offset(length, new))
 
 
 class _OffStride(AssertionError):
     """A packed sum landed off its stride; args[0] is the gap.  ``left_divide``
-    guesses its stride and reruns at gcd(stride, gap); ``_mul_pairs`` and the
-    family scan prove theirs, so there the exception fails as the assertion
-    it is."""
+    guesses its stride and reruns at gcd(stride, gap); ``_mul_packed`` and
+    the family scan prove theirs, so there the exception fails as the
+    assertion it is."""
 
 
 def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) -> None:
@@ -229,9 +250,11 @@ def _decode(entry, width: int, g: int, shift: int = 0, r: int = 1) -> dict:
 # for the quantum-torus element sum c_{a,b}(q) X1^a X2^b and _twisted lists
 # the pairs of its normal-form product; mat_mul lists the pairs of a matrix
 # product, and a QLaurent product is the one pair (0, 0, 0, 0).  Every
-# product, in QLaurent, the torus and mat_mul, goes through _mul_pairs; the
-# two writers of monomial products, the division step (the divisor times a
-# quotient monomial) and the family scan, write that case out.
+# product is planned by _mul_packed: a decoded one, in QLaurent, the torus
+# and mat_mul, through _mul_pairs, and the recursion's packed powers
+# directly; the two writers of monomial products, the division step (the
+# divisor times a quotient monomial) and the family scan, write that case
+# out.
 
 
 def _twisted(t1: dict, t2: dict) -> list:
@@ -285,15 +308,6 @@ def _max_coeff(*ts: dict) -> int:
     return max(max(map(max, values)), -min(map(min, values)))
 
 
-def _norms(t: dict) -> dict:
-    """{key: (sum of |coefficients|, largest |coefficient|)} of a term map."""
-    out = {}
-    for key, d in t.items():
-        v = d.values()
-        out[key] = (sum(map(abs, v)), max(max(v), -min(v)))
-    return out
-
-
 def _offset_gcd(*ts: dict) -> int:
     """gcd of the exponent offsets inside the coefficients; 0 if all are one-term.
     Folds one coefficient at a time, so no tuple of every offset is built."""
@@ -329,67 +343,116 @@ def _decode_terms(p: _Packed) -> dict:
     return {key: _decode(entry, p.width, p.g) for key, entry in p.terms.items()}
 
 
-def _mul_packed(t1: dict, t2: dict, pairs: list, small: int = -1):
-    """The pair product on packed coefficients as a ``_Packed`` term map,
-    or None, before anything is packed, for work (the sum of
-    len(t1[k1]) * len(t2[k2]) over the pairs) of at most small term pairs
-    and for spans so sparse that the packed digits would outnumber the work
-    64 to 1.
+def _summaries(t):
+    """A term map, or a ``_Packed`` one, as the planner reads it: (t, {key:
+    (terms, sum of |coefficients|, largest |coefficient|, lo, hi)}, the gcd
+    of the exponent offsets inside the coefficients, 0 if all are
+    one-term), lo and hi a coefficient's lowest and highest exponents.
 
-    Every coefficient is packed once at one digit width and one stride g,
-    and each pair is one integer multiplication and one ``_add_aligned``.
-    g divides every exponent offset inside a coefficient and every gap
-    between the bases of the pairs that land on one key, so q^r
-    coefficients take r times fewer digits and no sum lands off the stride
-    (an ``_OffStride`` here fails as an assertion).  A digit of c1 * c2 is
-    at most min(|c1|_1 |c2|_inf, |c1|_inf |c2|_1), so an output digit is at
-    most the sum of that over the pairs on its key; the bound is that sum
-    on the worst key, raised to every operand's largest |coefficient|,
-    since ``mat_mul`` packs entries that no pair uses (0 with no operand).
+    A packed map is read off its digits (see ``_digits``), with no dict
+    built, and comes back with every entry trimmed to its live digits.
+    Every |digit| is below a quarter of the base B, so the lowest nonzero
+    digit holds the lowest set bit, and a top nonzero digit at index k
+    gives a bit length in [8 width k, 8 width (k + 1))."""
+    out = {}
+    if not isinstance(t, _Packed):
+        for key, d in t.items():
+            v = d.values()
+            out[key] = (len(d), sum(map(abs, v)), max(max(v), -min(v)), min(d), max(d))
+        return t, out, _offset_gcd(t)
+    bits, g, terms, og = 8 * t.width, t.g, {}, 0
+    for key, (val, lo, _) in t.terms.items():
+        low = ((val & -val).bit_length() - 1) // bits
+        val >>= low * bits
+        lo += low * g
+        length = val.bit_length() // bits + 1
+        hi = lo + (length - 1) * g
+        digits = _digits(val, length, t.width) if length > 1 else [val]
+        terms[key] = [val, lo, hi]
+        out[key] = (length - digits.count(0), sum(map(abs, digits)),
+                    max(max(digits), -min(digits)), lo, hi)
+        og = math.gcd(og, *compress(range(length), digits))
+    return t._replace(terms=terms), out, og * g
+
+
+def _entries(t, width: int, g: int) -> dict:
+    """The entries of a term map, or of a ``_Packed`` one, at width bytes a
+    digit and stride g, as new lists.  Packed entries keep their [lo, hi]:
+    one digit is alike at any width and stride, more are re-spaced at their
+    own stride (see ``_respace``) and decoded and packed again at another."""
+    if not isinstance(t, _Packed):
+        return _pack_terms(t, width, g)
+    out = {}
+    for key, (val, lo, hi) in t.terms.items():
+        if hi != lo and g != t.g:
+            out[key] = _packed(_decode((val, lo, hi), t.width, t.g), width, g)
+        elif hi != lo and width != t.width:
+            out[key] = [_respace(val, (hi - lo) // g + 1, t.width, width), lo, hi]
+        else:
+            out[key] = [val, lo, hi]
+    return out
+
+
+def _mul_packed(t1, t2, pairs: list, fallback: bool = False) -> _Packed | None:
+    """The pair product of term maps, or of ``_Packed`` ones, on packed
+    coefficients, as a ``_Packed`` term map.  The plan reads per-key
+    summaries (see ``_summaries``); the work is the sum of terms1[k1] *
+    terms2[k2] over the pairs.  Spans so sparse that the packed digits
+    would outnumber the work 64 to 1 are refused as an AssertionError, or,
+    with fallback, answered None for the dict loop, before anything is
+    packed.
+
+    Every coefficient is packed, or re-spaced, to one digit width and one
+    stride g, and each pair is one integer multiplication and one
+    ``_add_aligned``.  g divides every exponent offset inside a coefficient
+    and every gap between the bases of the pairs that land on one key, so
+    q^r coefficients take r times fewer digits and no sum lands off the
+    stride (an ``_OffStride`` here fails as an assertion).  A digit of
+    c1 * c2 is at most min(|c1|_1 |c2|_inf, |c1|_inf |c2|_1), so an output
+    digit is at most the sum of that over the pairs on its key; the bound is
+    that sum on the worst key, raised to every operand's largest
+    |coefficient|, since ``mat_mul`` packs entries that no pair uses (0
+    with no operand).
     """
-    work = sum(len(t1[k1]) * len(t2[k2]) for _, _, k1, k2 in pairs)
-    if work <= small:
-        return None
-    norms1 = _norms(t1)
-    norms2 = norms1 if t2 is t1 else _norms(t2)
-    lo1, lo2 = ({key: min(d) for key, d in t.items()} for t in (t1, t2))
-    g, first, per_key = _offset_gcd(t1, t2), {}, {}
+    same = t2 is t1
+    t1, s1, g = _summaries(t1)
+    t2, s2, g2 = (t1, s1, g) if same else _summaries(t2)
+    g, work, first, per_key = math.gcd(g, g2), 0, {}, {}
     for key, sh, k1, k2 in pairs:
-        base = lo1[k1] + lo2[k2] + sh
+        n1, a1, m1, lo1, _ = s1[k1]
+        n2, a2, m2, lo2, _ = s2[k2]
+        work += n1 * n2
+        base = lo1 + lo2 + sh
         g = math.gcd(g, base - first.setdefault(key, base))
-        s1, m1 = norms1[k1]
-        s2, m2 = norms2[k2]
-        per_key[key] = per_key.get(key, 0) + min(s1 * m2, m1 * s2)
+        per_key[key] = per_key.get(key, 0) + min(a1 * m2, m1 * a2)
     g = g or 1
-    dig1, dig2 = ({key: (max(d) - lo[key]) // g + 1 for key, d in t.items()}
-                  for t, lo in ((t1, lo1), (t2, lo2)))
+    dig1, dig2 = ({key: (hi - lo) // g + 1 for key, (_, _, _, lo, hi) in s.items()}
+                  for s in (s1, s2))
     if sum(dig1[k1] * dig2[k2] for _, _, k1, k2 in pairs) > _MAX_PADDING * work:
-        return None
-    bound = max([*per_key.values(), *(m for _, m in norms1.values()),
-                 *(m for _, m in norms2.values())], default=0)
+        if fallback:
+            return None
+        raise AssertionError("a sparse product would pack past its padding bound")
+    bound = max([*per_key.values(), *(s[2] for s in s1.values()),
+                 *(s[2] for s in s2.values())], default=0)
     width = _digit_width(bound)
-    p1 = _pack_terms(t1, width, g)
-    p2 = p1 if t2 is t1 else _pack_terms(t2, width, g)
+    p1 = _entries(t1, width, g)
+    p2 = p1 if same else _entries(t2, width, g)
     acc: dict = {}
     _mul_packed_pairs(acc, p1, p2, pairs, g, 8 * width)
     return _Packed(acc, width, g, bound)
 
 
-def _mul_pairs(t1: dict, t2: dict, pairs: list, decode: bool = True):
+def _mul_pairs(t1: dict, t2: dict, pairs: list) -> dict:
     """The pair product {out_key: sum of q^(shift/2) t1[k1] t2[k2]} over the
     (out_key, doubled shift, k1, k2) pairs; keys that cancel are dropped.
-    The packed loop runs (see ``_mul_packed``), except that a decoded
-    product of at most ``_SCHOOLBOOK_LIMIT`` term pairs of work, or one
-    whose spans the packed loop declines as too sparse, runs the dict loop.
-    With decode false the product is always the packed loop's ``_Packed``
-    map, as it is, and a span too sparse for it is refused as an
-    AssertionError before anything is packed: only the recursion asks for
-    the packed form, and its coefficients are dense."""
-    prod = _mul_packed(t1, t2, pairs, _SCHOOLBOOK_LIMIT if decode else -1)
-    if prod is not None:
-        return _decode_terms(prod) if decode else prod
-    if not decode:
-        raise AssertionError("a sparse product would pack past its padding bound")
+    The packed loop runs (see ``_mul_packed``) and its product is decoded,
+    except that a product of at most ``_SCHOOLBOOK_LIMIT`` term pairs of
+    work, or one whose spans the packed loop declines as too sparse, runs
+    the dict loop."""
+    if sum(len(t1[k1]) * len(t2[k2]) for _, _, k1, k2 in pairs) > _SCHOOLBOOK_LIMIT:
+        prod = _mul_packed(t1, t2, pairs, fallback=True)
+        if prod is not None:
+            return _decode_terms(prod)
     return _mul_dicts(t1, t2, pairs)
 
 
@@ -402,13 +465,14 @@ def _division_width(d: dict, nbound: int, bound: int) -> int:
 def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
     """One run of ``left_divide`` of the packed term map n by the term map d,
     with a packed remainder: an entry [value, lo, hi] per key, all at stride
-    g and one digit width.  The run copies n's entries, and repacks them
-    (decode, then pack) only when it needs a wider digit or a finer stride
-    than n carries.  Each step pops the leading entry, trims its cancelled
-    low digits so that the products it enters stay short, decodes it (the
-    quotient term cz X1^az X2^bz up to a unit) and subtracts the other
-    divisor terms times that monomial in place: per divisor term c X1^a X2^b,
-    one big-integer product and one ``_add_aligned`` at the key
+    g and one digit width.  The run copies n's entries, re-spaced when it
+    needs a wider digit and repacked (decode, then pack) for a finer stride
+    than n carries (see ``_entries``).  Each step pops the leading entry,
+    trims its cancelled low digits so that the products it enters stay
+    short, decodes it (the quotient term cz X1^az X2^bz up to a unit) and
+    subtracts the other divisor terms times that monomial in place: per
+    divisor term c X1^a X2^b, one big-integer product and one
+    ``_add_aligned`` at the key
     (a + az, b + bz) with the twist q^(-b*az).  While every quotient
     coefficient is at most ``bound``, a remainder digit is a digit of n (at
     most n.bound) minus at most |d| digits of size maxc(d) * bound *
@@ -426,10 +490,7 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
     ((kd2, sign),) = cd.items()
     width = max(n.width, _division_width(d, n.bound, bound))
     bits = 8 * width
-    if (width, g) == (n.width, n.g):
-        rem = {key: entry.copy() for key, entry in n.terms.items()}
-    else:
-        rem = _pack_terms(_decode_terms(n), width, g)
+    rem = _entries(n, width, g)
     # -d / sign without its leading term, whose product just cancels the popped entry
     terms = _pack_terms({key: {k: -sign * v for k, v in c.items()}
                          for key, c in d.items() if key != (ad, bd)}, width, g)
@@ -485,24 +546,16 @@ def mat_mul(a: list, b: list) -> list:
             for i in range(len(a))]
 
 
-def _power(x, e: int, one):
-    """x**e by repeated squaring, for e >= 0 (checked by the caller); one is
-    the unit, returned for e = 0."""
+def _power(x, e: int, one, times=mul):
+    """x**e by left-to-right square-and-multiply, for e >= 0 (checked by the
+    caller), so that every product is a square or a product by x; one is
+    the unit, returned for e = 0.  times is the product, ``*`` unless the
+    caller multiplies another form of x (see ``cluster._step``)."""
     if e < 2:
         return x if e else one
-    y, z = _split_power(x, e)
-    return y * z
-
-
-def _split_power(x, e: int):
-    """(y, z) with y * z = x**e, for e >= 2: left-to-right square-and-multiply
-    without its last product, so every large product is a square or a
-    product by x.  For even e, y and z are one object x^(e/2); for odd e,
-    y is x and z = x^(e-1) is itself a square."""
-    h = _power(x, e >> 1, None)
-    if e & 1:
-        return x, h * h
-    return h, h
+    h = _power(x, e >> 1, one, times)
+    h = times(h, h)
+    return times(x, h) if e & 1 else h
 
 
 class QLaurent:
@@ -799,12 +852,18 @@ q = QLaurent.q_power(2)
 qh = QLaurent.q_power(1)  # q^(1/2)
 
 
+def _is_int(x) -> bool:
+    """True for an int that is not a bool: True and False are ints to
+    isinstance, but never a size, an index or an exponent here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_rn(r: int, n: int) -> None:
     """Refuse (r, n) outside the domain of ``c_sequence`` in constant time,
     so that callers can check before any work."""
-    if not isinstance(r, int) or r < 2:
+    if not _is_int(r) or r < 2:
         raise InvalidParameter(f"r must be an integer >= 2, got {r}")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidParameter(f"n must be an integer >= 1, got {n}")
 
 
@@ -823,7 +882,7 @@ def c_sequence(r: int, n: int) -> int:
 def dim_vector(r: int, n: int):
     """(d1, d2) = (c_{n-1}, c_{n-2}), the dimension vector of the n-th rigid
     module M_n; M_3 = (1, 0) is the first."""
-    if not isinstance(n, int) or n < 3:
+    if not _is_int(n) or n < 3:
         raise InvalidParameter(f"dimension vectors start at n = 3, got {n}")
     return c_sequence(r, n - 1), c_sequence(r, n - 2)
 
@@ -845,7 +904,7 @@ def q_binomial(m: int, n: int) -> QLaurent:
     forced by the closed-strata formula at its lowest corner); n < 0 gives 0;
     n > m >= 0 gives 0.  Negative m with positive n is not supported.
     """
-    if not isinstance(m, int) or not isinstance(n, int):
+    if not _is_int(m) or not _is_int(n):
         raise InvalidParameter("q_binomial arguments must be integers")
     if n == 0:
         return ONE

@@ -34,7 +34,7 @@ import math
 
 from .cluster import GrTable
 from .errors import InvalidParameter
-from .qlaurent import QLaurent, _check_rn, _shift_add, dim_vector, mat_mul, q_binomial
+from .qlaurent import QLaurent, _check_rn, _is_int, _shift_add, dim_vector, mat_mul, q_binomial
 from .records import Record
 
 
@@ -126,7 +126,7 @@ def _strata(col, d1: int):
 
 def strata_from_gr(table: GrTable, e2: int) -> StrataTable:
     """Invert the Grassmannian column at e2 into stratum polynomials."""
-    if not isinstance(e2, int):
+    if not _is_int(e2):
         raise InvalidParameter(f"e2 must be an integer, got {e2!r}")
     if not 0 <= e2 <= table.d2:
         raise InvalidParameter(f"e2 must lie in 0..{table.d2}, got {e2}")
@@ -152,7 +152,7 @@ def closed_gr_m6(r: int, e1: int) -> QLaurent:
     """Grassmannian polynomial at (e1, 1) for M_6, of dimension vector
     ``dim_vector(r, 6)``, in closed form; zero once e1 exceeds r-1."""
     _check_rn(r, 6)
-    if not isinstance(e1, int) or e1 < 0:
+    if not _is_int(e1) or e1 < 0:
         raise InvalidParameter(f"e1 must be a nonnegative integer, got {e1}")
     if e1 > r - 1:
         return QLaurent.zero()
@@ -170,7 +170,7 @@ def closed_zbar_m6(r: int, p: int) -> QLaurent:
     """Closed-stratum polynomial at parameter p (second index d2 - 1) for the
     same module, in closed form valid for every r."""
     _check_rn(r, 6)
-    if not isinstance(p, int) or p < 0:
+    if not _is_int(p) or p < 0:
         raise InvalidParameter(f"p must be a nonnegative integer, got {p}")
     # e1 runs up to d1, but closed_gr_m6 vanishes past r - 1 <= d1
     e1s = range(p, r)

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 
 from .errors import DivisionFailed, InvalidParameter
-from .qlaurent import (ONE, QLaurent, _divide_packed, _division_width, _json_field,
-                       _max_coeff, _mul_pairs, _offset_gcd, _pack_terms, _Packed, _power, _twisted)
+from .qlaurent import (ONE, QLaurent, _digit_width, _divide_packed, _division_width, _json_field,
+                       _max_coeff, _mul_packed, _mul_pairs, _offset_gcd, _pack_terms, _Packed,
+                       _power, _twisted)
 
 
 class TorusElement:
@@ -186,19 +187,29 @@ def _terms(t: dict) -> dict:
     return {key: c._t for key, c in t.items()}
 
 
-def _mul_large(t1: dict, t2: dict, decode: bool = True):
-    """Normal-form product of two {(a, b): QLaurent} dicts: every torus
-    product runs here, as ``qlaurent._mul_pairs`` over the ``_twisted``
-    pairs, which picks the loop on dicts or the packed one from the operands.
-    With decode false the product is returned as a ``_Packed`` term map,
-    which ``left_divide`` takes as it is."""
+def _mul_large(t1, t2):
+    """Normal-form product of two torus term maps: every torus product runs
+    here.  {(a, b): QLaurent} dicts multiply to a TorusElement through
+    ``qlaurent._mul_pairs`` over the ``_twisted`` pairs, which picks the
+    loop on dicts or the packed one from the operands; packed term maps
+    (``_Packed``) multiply to a packed one through ``qlaurent._mul_packed``,
+    the form ``left_divide`` takes as it is."""
+    if isinstance(t1, _Packed):
+        return _mul_packed(t1, t2, _twisted(t1.terms, t2.terms))
     same = t1 is t2
     t1 = _terms(t1)
     t2 = t1 if same else _terms(t2)
-    prod = _mul_pairs(t1, t2, _twisted(t1, t2), decode)
-    if not decode:
-        return prod
+    prod = _mul_pairs(t1, t2, _twisted(t1, t2))
     return TorusElement._raw({key: QLaurent._raw(d) for key, d in prod.items()})
+
+
+def _pack_element(x: TorusElement) -> _Packed:
+    """x as a packed term map at its own stride, its offset gcd, and at the
+    digit width of its largest |coefficient|."""
+    t = _terms(x._t)
+    bound, g = _max_coeff(t), _offset_gcd(t) or 1
+    width = _digit_width(bound)
+    return _Packed(_pack_terms(t, width, g), width, g, bound)
 
 
 X1 = TorusElement.monomial(1, 0)
@@ -221,7 +232,7 @@ def left_divide(d: TorusElement, n) -> TorusElement:
     componentwise, which bounds the loop and certifies failure otherwise.
     n is a TorusElement, packed here once with its largest |coefficient| as
     the first bound, or a packed term map (``_Packed``, as ``_mul_large``
-    returns it with decode false, the form every recursion step hands
+    returns it from packed operands, the form every recursion step hands
     over), taken as it is with its digit bound, and with the decode target
     it may carry: the quotient is then the target's term map (see
     ``_divide_packed``; ``cluster.gr_table`` reads its table so).

@@ -80,15 +80,17 @@ def test_step_equals_the_division_of_the_power_plus_one(r, n):
 def test_the_numerator_reaches_the_division_packed_and_undecoded(monkeypatch):
     import qkron.qlaurent as qlmod
 
-    events, unpack, mul = [], qlmod._unpack, cluster._mul_large
+    events, unpack = [], qlmod._unpack
+    pack, times = cluster._pack_element, cluster._mul_large
 
-    def product(*args, **kwargs):
+    def product(a, b):
         events.append("product")
-        out = mul(*args, **kwargs)
+        out = times(a, b)
         events.append(type(out).__name__)
         return out
 
     monkeypatch.setattr(qlmod, "_unpack", lambda *a: events.append("decode") or unpack(*a))
+    monkeypatch.setattr(cluster, "_pack_element", lambda t: events.append("pack") or pack(t))
     monkeypatch.setattr(cluster, "_mul_large", product)
     calls = _spy_divisions(monkeypatch)
     spy = cluster.left_divide
@@ -96,13 +98,16 @@ def test_the_numerator_reaches_the_division_packed_and_undecoded(monkeypatch):
     xvar_recursive.cache_clear()
     for r, n in TRIO:
         gr_table(r, n)
-    # every step's product is the packed loop's, and reaches the division as it is
+    # every step's numerator is a packed product, and reaches the division as it is
     assert len(calls) == 10 and all(isinstance(c, qlmod._Packed) for c in calls)
     divides = [i for i, e in enumerate(events) if e == "divide"]
-    assert len(divides) == len(calls)
+    assert len(divides) == len(calls) == events.count("pack")
     for i in divides:
-        # nothing is decoded from the product's return to the division
-        assert events[i - 2:i] == ["product", "_Packed"]
+        # X_{n-1} is packed once, and from that pack to the division there
+        # are only packed products: nothing is decoded
+        start = max(j for j in range(i) if events[j] == "pack")
+        chain = events[start + 1 : i]
+        assert chain and chain == ["product", "_Packed"] * (len(chain) // 2)
 
 
 def test_the_power_is_freed_before_the_division(monkeypatch):
@@ -118,16 +123,16 @@ def test_the_power_is_freed_before_the_division(monkeypatch):
     xvar_recursive.cache_clear()
     for r, n in [*TRIO, (2, 8)]:
         gr_table(r, n)
-    assert names and all("numerator" in seen and not seen & {"y", "z"} for seen in names)
+    assert names and all("numerator" in seen and not seen & {"x", "y", "z"} for seen in names)
 
 
 def test_dict_loop_products_reach_the_division_packed(monkeypatch):
     import qkron.qlaurent as qlmod
 
-    # with every decoded product of the powers on the dict loop, each step's
-    # last product is still the packed loop's, which no limit on small work
-    # reaches, and X_n is unchanged
-    pairs = TRIO[1:]  # (7, 5) on the dict loop alone takes seconds
+    # with every decoded product on the dict loop, the step is untouched:
+    # its power is the packed chain's from X_{n-1} to the division, which
+    # no limit on small work reaches, and X_n is unchanged
+    pairs = TRIO[1:]
     xvar_recursive.cache_clear()
     want = [xvar_recursive(r, n) for r, n in pairs]
     monkeypatch.setattr(qlmod, "_SCHOOLBOOK_LIMIT", 10**9)
@@ -192,11 +197,12 @@ def test_gr_table_digests_past_the_trio(r, n, want):
 def test_a_stride_that_proves_nothing_falls_back_to_the_term_checks(monkeypatch):
     import qkron.qlaurent as qlmod
 
-    # the products repacked at stride 1 make the last run's stride 1 too
-    mul = cluster._mul_large
+    # the products repacked at stride 1 make the last run's stride 1 too;
+    # the next product in the chain packs its finer-stride operands again
+    times = cluster._mul_large
 
-    def fine(t1, t2, decode=True):
-        prod = mul(t1, t2, decode)
+    def fine(a, b):
+        prod = times(a, b)
         terms = qlmod._pack_terms(qlmod._decode_terms(prod), prod.width, 1)
         return prod._replace(terms=terms, g=1)
 
@@ -269,12 +275,12 @@ def test_a_constant_term_in_the_power_is_refused_and_not_cached(monkeypatch):
 
     r, n = 3, 5
     want = xvar_recursive(r, n)
-    mul = cluster._mul_large
+    power = cluster._power
 
-    def with_one(t1, t2, decode=True):
+    def with_one(*args):
         # the whole numerator, 1 included: a step that overwrote the (0, 0)
         # entry would still divide to X_n, so only the guard refuses it
-        prod = mul(t1, t2, decode)
+        prod = power(*args)
         assert isinstance(prod, qlmod._Packed) and (0, 0) not in prod.terms
         prod.terms[(0, 0)] = [1, 0, 0]
         return prod
@@ -282,7 +288,7 @@ def test_a_constant_term_in_the_power_is_refused_and_not_cached(monkeypatch):
     xvar_recursive.cache_clear()
     xvar_recursive(r, n - 1)
     with monkeypatch.context() as m:
-        m.setattr(cluster, "_mul_large", with_one)
+        m.setattr(cluster, "_power", with_one)
         calls = _spy_divisions(m)
         with pytest.raises(AssertionError, match="constant term"):
             xvar_recursive(r, n)

@@ -202,13 +202,22 @@ def test_offset_gcd_folds_each_coefficient(coeffs):
     assert _max_coeff(t, {0: {0: 1}}) == max([1, *(abs(c) for d in coeffs for c in d.values())])
 
 
-def test_split_power_stops_before_the_last_product():
-    from qkron.qlaurent import _split_power
+def test_power_squares_and_multiplies_by_x():
+    from qkron.qlaurent import _power
 
-    # the last product is a square, or x times a square
+    # every product is a square or x times a square, and the last one is
+    # x^(e/2) squared or x times x^(e-1), itself a square
     x = 1 + q + 2 * q**3
     for e in range(2, 17):
-        y, z = _split_power(x, e)
+        products = []
+
+        def times(a, b):
+            products.append((a, b))
+            return a * b
+
+        assert _power(x, e, ONE, times) == x**e == _power(x, e, ONE)
+        assert all(a is b or a is x for a, b in products)
+        y, z = products[-1]
         assert y * z == x**e
         if e % 2:
             assert y is x and z == x ** (e - 1)
@@ -364,6 +373,35 @@ def test_codec_roundtrip(case, stub):
         val = qlmod._pack(t, lo, len(digits), width, step) if signed else qlmod._mpz(want)
         assert val == want
         assert qlmod._unpack(val, lo, len(digits), width, step, signed) == t
+
+
+@st.composite
+def _respace_cases(draw):
+    """(old width, new width, digits): signed digits that fit the narrower
+    width, with its edges, the edges of the widest array item and zeros."""
+    old, new = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    half = 1 << (8 * min(old, new) - 1)
+    edges = [e for e in (-half, half - 1, 1, -1, 2**63 - 1, -(2**63), 2**64) if -half <= e < half]
+    digit = st.one_of(st.just(0), st.sampled_from(edges), st.integers(-half, half - 1))
+    return old, new, draw(st.lists(digit, min_size=1, max_size=40))
+
+
+@given(_respace_cases(), st.booleans())
+@example((1, 9, [-128, 127, 0, -1]), False)
+@example((9, 1, [-128, 0, 127, 1]), True)
+@example((8, 17, [2**63 - 1, -(2**63), 0, 2**62]), False)
+@example((12, 3, [-(2**23), 2**23 - 1, -1]), False)
+def test_codec_respace_matches_a_fresh_pack(case, stub):
+    import qkron.qlaurent as qlmod
+
+    old, new, digits = case
+    t = {i: c for i, c in enumerate(digits) if c}
+    with pytest.MonkeyPatch.context() as mp:
+        if stub:  # an int subclass in place of the module's _mpz
+            mp.setattr(qlmod, "_mpz", type("Z", (int,), {}))
+        val = qlmod._respace(qlmod._pack(t, 0, len(digits), old), len(digits), old, new)
+        assert val == qlmod._pack(t, 0, len(digits), new)
+        assert qlmod._unpack(val, 0, len(digits), new) == t
 
 
 def test_unsigned_digit_width_is_the_bytes_of_its_bound():

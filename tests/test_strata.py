@@ -196,6 +196,26 @@ def test_strata_invalid_e2():
             strata_from_gr(table, e2)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_bools_are_refused_where_integers_are_asked_for(flag):
+    from qkron.qlaurent import _check_rn, c_sequence, dim_vector
+
+    # True and False are ints to isinstance; each check refuses them, where
+    # True had read as 1 (the e1 = 1 column, "e2": true in JSON) and False as 0
+    table = gr_table(2, 5)
+    calls = [lambda: _check_rn(2, flag), lambda: c_sequence(2, flag),
+             lambda: dim_vector(2, flag), lambda: q_binomial(3, flag),
+             lambda: q_binomial(flag, 0), lambda: strata_from_gr(table, flag),
+             lambda: closed_gr_m6(3, flag), lambda: closed_zbar_m6(3, flag)]
+    for call in calls:
+        with pytest.raises(InvalidParameter):
+            call()
+    # the integers they stand for are still taken
+    assert strata_from_gr(table, int(flag)).to_obj()["e2"] == int(flag)
+    assert closed_gr_m6(3, int(flag))
+    assert q_binomial(3, int(flag)) == (1 + q + q**2 if flag else ONE)
+
+
 def test_closed_gr_examples():
     assert closed_gr_m6(2, 0) == 1 + q + q**2
     assert closed_gr_m6(2, 1) == 1 + q

@@ -254,7 +254,7 @@ def _square_and_copy(monkeypatch, t):
     out = []
     for t2 in (t, {key: dict(d) for key, d in t.items()}):
         _Counted.products = []
-        prod = qlmod._mul_pairs(t, t2, qlmod._twisted(t, t2), decode=False)
+        prod = qlmod._mul_packed(t, t2, qlmod._twisted(t, t2))
         assert isinstance(prod, qlmod._Packed)
         out.append((qlmod._decode_terms(prod), len(_Counted.products)))
     return out
@@ -301,7 +301,7 @@ def test_a_product_of_distinct_operands_reuses_no_product():
 
 def test_only_the_packed_loop_packs_a_product(monkeypatch):
     import qkron.qlaurent as qlmod
-    from qkron.torus import _terms
+    from qkron.torus import _pack_element, _terms
 
     # small work, which a decoded product takes to the dict loop
     small = (X1 + TorusElement.monomial(0, 1, QLaurent({4: -3, 10: 7})), X2 - X1)
@@ -312,46 +312,120 @@ def test_only_the_packed_loop_packs_a_product(monkeypatch):
     monkeypatch.setattr(qlmod, "_mul_dicts", lambda *args: dict_products.append(1) or mul_dicts(*args))
     for t1, t2, pairs in cases:
         pairs = pairs or qlmod._twisted(t1, t2)
-        prod = qlmod._mul_pairs(t1, t2, pairs, decode=False)
+        prod = qlmod._mul_packed(t1, t2, pairs)
         assert isinstance(prod, qlmod._Packed) and dict_products == []
         assert qlmod._decode_terms(prod) == mul_dicts(t1, t2, pairs)
     assert prod.terms == {}
     # a span too sparse for the packed loop is refused before anything is
-    # packed, and no dict-loop product is packed in its place
+    # packed or re-spaced, from term maps and from a packed operand alike,
+    # and no dict-loop product is packed in its place
     c = QLaurent({0: 1, 2: 1, 4: 1, 2000: 1})
-    t1 = _terms(TorusElement(((i % 8, i // 8), c.shift2(i)) for i in range(32))._t)
-    t2 = _terms(TorusElement(((i // 4 - 3, i % 4), c) for i in range(32))._t)
+    x1 = TorusElement(((i % 8, i // 8), c.shift2(i)) for i in range(32))
+    t1, t2 = _terms(x1._t), _terms(TorusElement(((i // 4 - 3, i % 4), c) for i in range(32))._t)
+    p1 = _pack_element(x1)
     packs = []
     _spy_pack(monkeypatch, lambda t, length, step: packs.append(length))
-    with pytest.raises(AssertionError, match="padding bound"):
-        qlmod._mul_pairs(t1, t2, qlmod._twisted(t1, t2), decode=False)
+    respace = qlmod._respace
+    monkeypatch.setattr(qlmod, "_respace", lambda *a: packs.append(a) or respace(*a))
+    for left in (t1, p1):
+        with pytest.raises(AssertionError, match="padding bound"):
+            qlmod._mul_packed(left, t2, qlmod._twisted(t1, t2))
     assert packs == [] and dict_products == []
 
 
+def _chain(t, e, extra=0, finer=False):
+    """X^e of the term map t by the packed chain of the exchange step, each
+    product checked against the plan of its decoded operands; returns the
+    (left width, right width, product width, left stride, right stride,
+    product stride) of every product.  X is packed once, extra bytes a
+    digit wider than its own rule, and at stride 1 when finer."""
+    import qkron.qlaurent as qlmod
+    from qkron.torus import _mul_large, _pack_element, _terms
+
+    x = TorusElement((key, QLaurent(d)) for key, d in t.items())
+    p = _pack_element(x)
+    width, g = p.width + extra, 1 if finer else p.g
+    p = p._replace(terms=qlmod._pack_terms(t, width, g), width=width, g=g)
+    seen = []
+
+    def times(a, b):
+        prod = _mul_large(a, b)
+        da = qlmod._decode_terms(a)
+        db = da if b is a else qlmod._decode_terms(b)
+        want = qlmod._mul_packed(da, db, qlmod._twisted(da, db))
+        # the width, stride and bound of the one rule, and the same product
+        assert prod[1:] == want[1:]
+        assert qlmod._decode_terms(prod) == qlmod._decode_terms(want)
+        seen.append((a.width, b.width, prod.width, a.g, b.g, prod.g))
+        return prod
+
+    power = qlmod._power(p, e, None, times)
+    assert qlmod._decode_terms(power) == _terms((x**e)._t)
+    return seen
+
+
+@st.composite
+def _chain_cases(draw):
+    """(t, e, extra, finer): a signed torus element with dense coefficients
+    on a lattice, some of one term and some past 8 bytes a digit."""
+    lattice, scale = draw(st.sampled_from((1, 2, 4))), draw(st.sampled_from((1, 1, 2**40, 2**70)))
+    keys = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                         min_size=1, max_size=5, unique=True))
+    t = {}
+    for key in keys:
+        lo = draw(st.integers(-8, 8))
+        digits = draw(st.lists(st.integers(-9, 9), min_size=0, max_size=3))
+        digits.insert(0, draw(st.integers(-9, 9).filter(bool)))
+        t[key] = {lo + lattice * i: c * scale for i, c in enumerate(digits) if c}
+    return t, draw(st.integers(2, 7)), draw(st.integers(0, 3)), draw(st.booleans())
+
+
+@given(_chain_cases())
+def test_packed_chain_equals_the_decoded_power(case):
+    assert _chain(*case)
+
+
+def test_packed_chain_meets_every_conversion():
+    # the cases of the property test that each conversion needs
+    c = {2 * i: (-1) ** i * (i + 1) for i in range(6)}
+    seen = [*_chain({(1, 0): c, (0, 1): {3: 2**70}}, 7),
+            *_chain({(1, 0): c, (-1, 2): {4: -5}}, 6, extra=3),
+            *_chain({(1, 0): c, (2, 1): c}, 5, finer=True)]
+    assert any(w > 8 for _, _, w, _, _, _ in seen)  # digits past 8 bytes
+    assert any(p < max(a, b) for a, b, p, _, _, _ in seen)  # a product narrower than an operand
+    assert any(p > min(a, b) for a, b, p, _, _, _ in seen)  # and one wider
+    assert any(p > min(a, b) for _, _, _, a, b, p in seen)  # an operand at a finer stride
+
+
 def _old_width(t1, t2, pairs):
-    """The digit width of the former rule, max|t1| max|t2| min(max nnz) fanin."""
+    """The digit width of the former rule, max|t1| max|t2| min(max nnz)
+    fanin, read off the decoded operands."""
     from collections import Counter
 
-    from qkron.qlaurent import _digit_width, _max_coeff
+    from qkron.qlaurent import _decode_terms, _digit_width, _max_coeff, _Packed
 
+    t1, t2 = (_decode_terms(t) if isinstance(t, _Packed) else t for t in (t1, t2))
     fanin = max(Counter(key for key, _, _, _ in pairs).values())
     nnz = min(max(map(len, t1.values())), max(map(len, t2.values())))
     return _digit_width(_max_coeff(t1) * _max_coeff(t2) * nnz * fanin)
 
 
 def _spy_widths(monkeypatch):
-    """Record (width, former rule's width) of every packed pair product."""
+    """Record (width, former rule's width) of every packed pair product,
+    decoded ones and the recursion's packed powers alike."""
     import qkron.qlaurent as qlmod
+    import qkron.torus as tmod
 
     widths, mul = [], qlmod._mul_packed
 
-    def spy(t1, t2, pairs, small=-1):
-        out = mul(t1, t2, pairs, small)
+    def spy(t1, t2, pairs, *args, **kwargs):
+        out = mul(t1, t2, pairs, *args, **kwargs)
         if out is not None:
             widths.append((out.width, _old_width(t1, t2, pairs)))
         return out
 
-    monkeypatch.setattr(qlmod, "_mul_packed", spy)
+    for mod in (qlmod, tmod):
+        monkeypatch.setattr(mod, "_mul_packed", spy)
     return widths
 
 
@@ -481,15 +555,16 @@ def test_sparse_spans_multiply_pair_by_pair(monkeypatch):
 def test_a_sparse_product_is_refused_before_it_is_packed(monkeypatch):
     import time
 
-    from qkron.torus import _mul_large
+    import qkron.qlaurent as qlmod
+    from qkron.torus import _terms
 
-    # the packed hand-over would pad the dict loop's product densely
+    # packed anyway, the product would pad every span densely
     packs = []
     _spy_pack(monkeypatch, lambda t, length, step: packs.append(length))
-    a, b = _sparse_operands()
+    a, b = (_terms(x._t) for x in _sparse_operands())
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="padding bound"):
-        _mul_large(a._t, b._t, decode=False)
+        qlmod._mul_packed(a, b, qlmod._twisted(a, b))
     assert time.perf_counter() - start < 0.5 and packs == []
 
 
