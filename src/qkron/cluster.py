@@ -138,7 +138,7 @@ def _table_target(r: int, d1: int, d2: int):
     and checked term by term (``_compress``)."""
     r2 = 2 * r
 
-    def decode(a, b, entry, width, g):
+    def decode(a, b, entry, width, g, keys):
         if (a + d1) % r or (b + d2) % r:
             raise ExtractionFailed(f"term X1^{a} X2^{b} has non-integral indices")
         e2 = d2 - (a + d1) // r
@@ -148,7 +148,7 @@ def _table_target(r: int, d1: int, d2: int):
         prefactor2 = _prefactor2(r, d1, d2, e1, e2)
         _, lo, hi = entry
         if lo >= prefactor2 and not (lo - prefactor2) % r2 and (hi == lo or not g % r2):
-            terms = _decode(entry, width, g, prefactor2, r)
+            terms = _decode(entry, width, g, prefactor2, r, keys)
         else:
             terms = _compress(_decode(entry, width, g), prefactor2, r, e1, e2)
         if min(terms.values()) < 0:

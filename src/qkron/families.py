@@ -32,7 +32,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from .qlaurent import QLaurent, _digit_width, _OffStride, _unpack, c_sequence
+from .qlaurent import QLaurent, _digit_width, _is_int, _Keys, _OffStride, _unpack, c_sequence
 from .torus import TorusElement, word_to_torus
 
 DEFAULT_FAMILY_BUDGET = 30_000_000
@@ -394,10 +394,13 @@ def _expand(r: int, n: int) -> TorusElement:
                 _push(values.setdefault(nxt, {}), blk, value, g, bits)
     del value  # the last prefix value is nearly as large as the sum: free it before the decode
     # q X1 (X1^a X2^b) X1^-1 = q^(b+1) X1^a X2^b adds 2b + 2 to every doubled
-    # exponent; no digit is negative, so the top one ends the value
+    # exponent; no digit is negative, so the top one ends the value.  Every
+    # coefficient is keyed from one pool, no longer than the digits.
+    total = {key: (v, lo, -(-v.bit_length() // bits)) for key, (v, lo) in values.popitem()[1].items()}
+    keys = _Keys(sum(length for _, _, length in total.values()))
     return TorusElement._raw({
-        (a, b): QLaurent._raw(_unpack(v, lo + 2 * b + 2, -(-v.bit_length() // bits), width, g, False))
-        for (a, b), (v, lo) in values.popitem()[1].items()
+        (a, b): QLaurent._raw(_unpack(v, lo + 2 * b + 2, length, width, g, False, keys))
+        for (a, b), (v, lo, length) in total.items()
     })
 
 
@@ -405,8 +408,8 @@ def check_budget(count: int, budget: int | None) -> None:
     """Refuse ``count`` families over ``budget``; None means no budget."""
     if budget is None:
         return
-    if budget < 0:
-        raise InvalidParameter(f"a family budget must be >= 0, got {budget}")
+    if not _is_int(budget) or budget < 0:
+        raise InvalidParameter(f"a family budget must be an integer >= 0 or None, got {budget!r}")
     if count > budget:
         raise BudgetExceeded(f"{count} families exceed the configured budget of {budget}")
 

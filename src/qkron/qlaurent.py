@@ -173,11 +173,37 @@ def _digits(val, length: int, width: int, signed: bool = True) -> list:
     return digits.tolist()
 
 
-def _unpack(val, lo: int, length: int, width: int, step: int = 1, signed: bool = True) -> dict:
+class _Keys:
+    """The exponent keys of one decoded element: a pool of consecutive int
+    objects, so that every occurrence of an exponent is one object.  It
+    grows to cover each span it serves while it holds at most cap ints; a
+    span past that takes new ints."""
+
+    __slots__ = ("ints", "lo", "cap")
+
+    def __init__(self, cap: int):
+        self.ints, self.lo, self.cap = [], 0, cap
+
+    def span(self, lo: int, length: int, step: int):
+        """The keys lo, lo + step, ..., one per digit of length digits."""
+        ints, stop = self.ints, lo + step * (length - 1) + 1
+        base = self.lo if ints else lo
+        top = base + len(ints)
+        if max(top, stop) - min(base, lo) > self.cap:
+            return range(lo, stop, step)
+        ints[:0] = range(lo, base)
+        ints += range(top, stop)
+        self.lo = base = min(base, lo)
+        return ints[lo - base : stop - base : step]
+
+
+def _unpack(val, lo: int, length: int, width: int, step: int = 1, signed: bool = True,
+            keys: _Keys | None = None) -> dict:
     """Decode of a packed value into {lo + step*i: digit}, dropping zeros
-    (see ``_digits``)."""
+    (see ``_digits``), keyed from the pool keys when one is given."""
     digits = _digits(val, length, width, signed)
-    return dict(compress(zip(range(lo, lo + step * length, step), digits), digits))
+    span = range(lo, lo + step * length, step) if keys is None else keys.span(lo, length, step)
+    return dict(compress(zip(span, digits), digits))
 
 
 def _respace(val, length: int, old: int, new: int):
@@ -226,7 +252,7 @@ def _add_aligned(acc: dict, key, val, lo: int, hi: int, step: int, bits: int) ->
         del acc[key]
 
 
-def _decode(entry, width: int, g: int, shift: int = 0, r: int = 1) -> dict:
+def _decode(entry, width: int, g: int, shift: int = 0, r: int = 1, keys: _Keys | None = None) -> dict:
     """The coefficient of a packed entry [value, lo, hi] at stride g, each
     exponent k keyed as (k - shift) / r: the caller proves that integral
     on every digit, by r | lo - shift and, past one digit, r | g.
@@ -236,10 +262,10 @@ def _decode(entry, width: int, g: int, shift: int = 0, r: int = 1) -> dict:
     is below a quarter of the base B (see ``_digit_width``), so a top
     nonzero digit at index k gives |value| > B^k / 2 and the bit length
     keeps it; an overflowed top digit keeps the full length, and
-    ``_unpack`` refuses it as before."""
+    ``_unpack`` refuses it as before.  keys is the element's key pool."""
     val, lo, hi = entry
     length = min((hi - lo) // g + 1, val.bit_length() // (8 * width) + 1)
-    return _unpack(val, (lo - shift) // r, length, width, g // r or 1)
+    return _unpack(val, (lo - shift) // r, length, width, g // r or 1, True, keys)
 
 
 # -- the pair product -----------------------------------------------------------
@@ -338,9 +364,16 @@ def _pack_terms(t: dict, width: int, g: int) -> dict:
 _Packed = namedtuple("_Packed", "terms width g bound target", defaults=(None,))
 
 
+def _spans(terms: dict, g: int) -> int:
+    """The digits of the packed entries [value, lo, hi] at stride g."""
+    return sum((hi - lo) // g + 1 for _, lo, hi in terms.values())
+
+
 def _decode_terms(p: _Packed) -> dict:
-    """The term map of a packed one, each entry decoded once."""
-    return {key: _decode(entry, p.width, p.g) for key, entry in p.terms.items()}
+    """The term map of a packed one, each entry decoded once, all keyed
+    from one pool when there are two or more."""
+    keys = _Keys(_spans(p.terms, p.g)) if len(p.terms) > 1 else None
+    return {key: _decode(entry, p.width, p.g, 0, 1, keys) for key, entry in p.terms.items()}
 
 
 def _summaries(t):
@@ -482,8 +515,10 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
     (g shrinks).
 
     The quotient maps (az, bz) to the coefficient decoded at the run's
-    lattice, or, when n carries a target, target(az, bz, entry, width, g)
-    -> (key, coefficient dict) decodes each popped entry [value, lo, hi].
+    lattice, or, when n carries a target, target(az, bz, entry, width, g,
+    keys) -> (key, coefficient dict) decodes each popped entry [value, lo,
+    hi].  Every decode of the run keys its exponents from one pool of at
+    most as many ints as n has digits (see ``_Keys``).
     """
     target = n.target
     (ad, bd), cd = max(d.items())
@@ -491,6 +526,7 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
     width = max(n.width, _division_width(d, n.bound, bound))
     bits = 8 * width
     rem = _entries(n, width, g)
+    keys = _Keys(_spans(rem, g))
     # -d / sign without its leading term, whose product just cancels the popped entry
     terms = _pack_terms({key: {k: -sign * v for k, v in c.items()}
                          for key, c in d.items() if key != (ad, bd)}, width, g)
@@ -511,9 +547,9 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
         lo, hi = lo + sh, hi + sh
         entry = (val if sign > 0 else -val, lo, hi)
         if target is None:
-            key, cz = (az, bz), _decode(entry, width, g)
+            key, cz = (az, bz), _decode(entry, width, g, 0, 1, keys)
         else:
-            key, cz = target(az, bz, entry, width, g)
+            key, cz = target(az, bz, entry, width, g, keys)
         top = max(map(abs, cz.values()))
         if top > bound:
             return None, max(2 * bound, top), g

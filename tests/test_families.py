@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qkron import families
-from qkron.cluster import xvar_recursive
+from qkron.cluster import gr_table, xvar_recursive
 from qkron.dyck import build_dyck
 from qkron.errors import (
     BudgetExceeded,
@@ -143,6 +143,16 @@ def test_budget():
         xvar_enum(2, 6, budget=-1)
 
 
+@pytest.mark.parametrize("budget", [True, False, 2.5, 1e9, "10"])
+def test_budget_that_is_not_an_integer_is_refused(budget):
+    # True was read as the budget 1, 2.5 as a number and "10" failed with a
+    # bare TypeError on the comparison
+    with pytest.raises(InvalidParameter, match="integer"):
+        xvar_enum(3, 5, budget=budget)
+    with pytest.raises(InvalidParameter, match="integer"):
+        families.check_budget(0, budget)
+
+
 def test_budget_is_checked_outside_the_cache():
     # one cached element per (r, n), whatever the budget; a cached element
     # is still refused when the family count exceeds the budget
@@ -243,6 +253,19 @@ def test_xvar_enum_matches_bench_digests(r, n):
     assert got == refs[f"xvar_enum {r} {n}"]
 
 
+def _cold_traced_peak(r, n):
+    """Traced peak bytes of xvar_enum(r, n) with the scan's caches cleared."""
+    families._expand.cache_clear()
+    families._list_states.cache_clear()
+    families._dp_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        xvar_enum(r, n, budget=None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_scan_memo_stays_small():
     # the packed memo holds one integer per torus key; the dict-of-dicts
     # memo it replaced peaked at 13.8 MB at (6, 5)
@@ -261,16 +284,36 @@ def test_scan_memo_stays_small():
     assert got == xvar_recursive(6, 5).scale2(1)
     # a cold (3, 7): a scan that kept every state until the root peaked at
     # 53.0 MB here
-    families._expand.cache_clear()
-    families._list_states.cache_clear()
-    families._dp_tables.cache_clear()
-    tracemalloc.start()
-    try:
-        xvar_enum(3, 7, budget=None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 27e6
+    assert _cold_traced_peak(3, 7) < 27e6
+
+
+def test_decoded_elements_share_their_exponent_keys():
+    # every decoded element keys its coefficients from one pool: equal
+    # exponents are one int object, not a new one per coefficient
+    x = xvar_recursive(3, 5)
+    for polys in (xvar_enum(3, 6, budget=None)._t.values(), xvar_recursive(3, 6)._t.values(),
+                  gr_table(7, 5).entries.values(), (x * x)._t.values()):
+        keys = [k for p in polys for k in p._t]
+        assert len(set(keys)) < len([k for k in keys if k > 256])  # exponents repeat
+        assert len({id(k) for k in keys}) == len(set(keys))
+
+
+def test_cold_scan_peak_with_shared_keys():
+    # 182,337 coefficients on 3,025 exponents: with a new int key for each
+    # coefficient the cold (3, 7) peaked at 18.6 MB here
+    assert _cold_traced_peak(3, 7) < 16e6
+
+
+def _child_vmhwm_kb(code):
+    """The peak RSS (VmHWM, kB) of a fresh interpreter that runs code.  The
+    child's ru_maxrss would include the peak of this process, which it
+    inherits across fork and exec, so the child reads its own VmHWM."""
+    code += ("; print(next(line.split()[1] for line in open('/proc/self/status') "
+             "if line.startswith('VmHWM:')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(families.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=600)
+    return int(out.stdout)
 
 
 @pytest.mark.parametrize("r, n", [pytest.param(5, 6, marks=_SLOW)])
@@ -289,6 +332,21 @@ def test_scan_peak_rss(r, n):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=600)
     assert int(out.stdout) <= 292 * 1024  # kilobytes
+
+
+@pytest.mark.parametrize("r, n", [pytest.param(5, 6, marks=_SLOW)])
+def test_scan_peak_rss_with_shared_keys(r, n):
+    # 1,718,976 coefficients: a new int key for each of them took the
+    # peak to 233 MB
+    code = f"from qkron.families import xvar_enum; xvar_enum({r}, {n}, budget=None)"
+    assert _child_vmhwm_kb(code) <= 200 * 1024
+
+
+@pytest.mark.parametrize("r, n", [pytest.param(4, 6, marks=_SLOW)])
+def test_recursion_peak_rss_with_shared_keys(r, n):
+    # route 1's X_6 at r = 4: 30.5 MB with a new int key per coefficient
+    code = f"from qkron.cluster import xvar_recursive; xvar_recursive({r}, {n})"
+    assert _child_vmhwm_kb(code) <= 29 * 1024
 
 
 def _walked_blk(path, lo, is_red, hi):

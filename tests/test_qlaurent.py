@@ -376,6 +376,65 @@ def test_codec_roundtrip(case, stub):
 
 
 @st.composite
+def _pooled_cases(draw):
+    """(width, signed, cap, spans): one digit alphabet at one width, a pool
+    of at most cap ints, and the (lo, step, digits) of the values it keys,
+    at strides 1-4, overlapping, apart or beyond the cap."""
+    width, signed = draw(st.integers(1, 24)), draw(st.booleans())
+    floor = -(1 << (8 * width - 1)) if signed else 0
+    digit = st.one_of(st.just(0), st.integers(floor, floor + (1 << (8 * width)) - 1))
+    span = st.tuples(st.integers(-300, 600), st.integers(1, 4),
+                     st.lists(digit, min_size=1, max_size=20))
+    return width, signed, draw(st.integers(0, 1000)), draw(st.lists(span, min_size=1, max_size=6))
+
+
+@given(_pooled_cases())
+@example((1, True, 0, [(5, 1, [1, 2])]))
+@example((9, False, 10, [(300, 2, [1, 0, 3]), (296, 3, [0, 7]), (290, 1, [2] * 8)]))
+def test_codec_pooled_keys_match_new_keys(case):
+    import qkron.qlaurent as qlmod
+
+    width, signed, cap, spans = case
+    keys, decoded = qlmod._Keys(cap), []
+    for lo, step, digits in spans:
+        val = sum(c << (8 * width * i) for i, c in enumerate(digits))
+        t = qlmod._unpack(val, lo, len(digits), width, step, signed, keys)
+        # equal dicts, in the same order
+        assert list(t.items()) == list(qlmod._unpack(val, lo, len(digits), width, step, signed).items())
+        assert keys.ints == list(range(keys.lo, keys.lo + len(keys.ints))) and len(keys.ints) <= cap
+        decoded.append(t)
+    # within the cap every exponent is one object
+    stops = [lo + step * (len(digits) - 1) + 1 for lo, step, digits in spans]
+    if max(stops) - min(lo for lo, _, _ in spans) <= cap:
+        ks = [k for t in decoded for k in t]
+        assert len({id(k) for k in ks}) == len(set(ks))
+
+
+def test_sparse_elements_decode_without_a_pool_longer_than_their_digits(monkeypatch):
+    import qkron.qlaurent as qlmod
+    from qkron.torus import TorusElement, left_divide
+
+    pools = []
+
+    class Spy(qlmod._Keys):
+        __slots__ = ()
+
+        def span(self, lo, length, step):
+            pools.append(self)
+            return super().span(lo, length, step)
+
+    monkeypatch.setattr(qlmod, "_Keys", Spy)
+    # two coefficients of 3 and 2 digits about 10^6 exponents apart
+    t = {(0, 0): {0: 5, 1: -2, 2: 7}, (1, 0): {10**6: 3, 10**6 + 1: 1}}
+    width = qlmod._digit_width(qlmod._max_coeff(t))
+    packed = qlmod._Packed(qlmod._pack_terms(t, width, 1), width, 1, 7)
+    assert qlmod._decode_terms(packed) == t
+    n = TorusElement({key: QLaurent(c) for key, c in t.items()})
+    assert left_divide(TorusElement.one(), packed) == n
+    assert pools and max(len(p.ints) for p in pools) <= 5
+
+
+@st.composite
 def _respace_cases(draw):
     """(old width, new width, digits): signed digits that fit the narrower
     width, with its edges, the edges of the widest array item and zeros."""

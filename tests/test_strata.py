@@ -68,7 +68,7 @@ def test_mat_mul_packs_wide_digits(monkeypatch):
 
     widths = []
     decode = qlmod._decode
-    monkeypatch.setattr(qlmod, "_decode", lambda e, w, g: widths.append(w) or decode(e, w, g))
+    monkeypatch.setattr(qlmod, "_decode", lambda e, w, g, *a: widths.append(w) or decode(e, w, g, *a))
     # four terms an entry, so the 8 pairs are enough work to pack
     wide = QLaurent({0: 2**70, 2: -(2**69), 4: 3, 6: 1})
     a = [[wide, q_binomial(3, 1)], [wide.shift2(1), q * q_binomial(3, 1)]]
