@@ -3,7 +3,9 @@
 Subcommands: cn, dyck, families, xvar, grtable, strata, example13, ffcount,
 ffstrata, verify; each is registered once with a handler that returns
 ``(text, obj)``.  ``--format json`` prints ``obj`` in the documented schemas,
-text prints polynomials descending.  Module errors map to distinct exit codes.
+text prints polynomials descending; a handler that streams its document
+returns it as an iterable of text pieces in the asked format, and no obj.
+Module errors map to distinct exit codes.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import cluster, families, fforacle, strata
 from .dyck import build_dyck, render_ascii
@@ -62,16 +65,47 @@ def _xvar(args):
     return (str(el), None) if args.fmt != "json" else ("", el.to_obj())
 
 
+def _table_json(table, **dump):
+    """The text of ``json.dumps(table.to_obj(), **dump)``, for a table with
+    entries, in pieces, one entry decoded at a time."""
+    head, sep, tail = json.dumps(
+        {"d1": table.d1, "d2": table.d2, "entries": [None, None]}, **dump).split("null")
+    indent = "\n" + sep.rpartition("\n")[2]  # an entry's lines sit this deep
+    yield head
+    for i, obj in enumerate(table.entry_objs()):
+        yield (sep if i else "") + json.dumps(obj, **dump).replace("\n", indent)
+    yield tail
+
+
 def _grtable(args):
-    table = cluster.gr_table(*_r_and_n(args))
-    lines = [f"d1 = {table.d1}, d2 = {table.d2}"]
-    for (e1, e2), poly in table.sorted_items():
-        lines.append(f"e=({e1},{e2}): {poly.format_descending()}")
-    return "\n".join(lines), table.to_obj()
+    table = cluster.gr_table(*_r_and_n(args))  # never empty: its corners are 1
+    if args.digest:
+        import hashlib
+
+        h = hashlib.sha256()
+        for chunk in _table_json(table, sort_keys=True):
+            h.update(chunk.encode())
+        return h.hexdigest(), {"r": table.r, "n": table.n, "sha256": h.hexdigest()}
+    # stream only the form that is printed, one entry decoded at a time
+    if args.fmt == "json":
+        return chain(_table_json(table, indent=2), ["\n"]), None
+    lines = (f"\ne=({e1},{e2}): {poly.format_descending()}"
+             for (e1, e2), poly in table.sorted_items())
+    return chain([f"d1 = {table.d1}, d2 = {table.d2}"], lines, ["\n"]), None
 
 
 def _strata(args):
     r, n = _r_and_n(args)
+    if args.side == "image":
+        if args.s is None:
+            raise InvalidParameter("--s is required for strata --side image")
+        if args.e2 is not None or args.closed:
+            raise InvalidParameter("--e2 and --closed do not apply to strata --side image")
+        return _image_strata(args, r, n)
+    if args.e2 is None:
+        raise InvalidParameter("--e2 is required for strata")
+    if args.s is not None:
+        raise InvalidParameter("--s applies to strata --side image only")
     if not args.closed:
         table = strata.strata_from_gr(cluster.gr_table(r, n), args.e2)
     elif n != 6 or args.e2 != 1:
@@ -87,6 +121,20 @@ def _strata(args):
     for p in sorted(table.zprime):
         lines.append(f"Z'({p})    = {table.zp(p).format_descending()}")
         lines.append(f"Zbar'({p}) = {table.zbar(p).format_descending()}")
+    return "\n".join(lines), table.to_obj()
+
+
+def _image_strata(args, r, n):
+    table = strata.image_strata_from_gr(cluster.gr_table(r, n), args.s)
+    if args.p is not None:  # the table is a fresh value: keep only the asked stratum
+        if not 0 <= args.p <= table.d2:
+            raise InvalidParameter(f"p must lie in 0..{table.d2}, got {args.p}")
+        table.zimg = {args.p: table.z(args.p)}
+        table.zbarimg = {args.p: table.zbar(args.p)}
+    lines = [f"s = {table.s}, d1 = {table.d1}, d2 = {table.d2}"]
+    for k in sorted(table.zimg):
+        lines.append(f"Z({k})    = {table.z(k).format_descending()}")
+        lines.append(f"Zbar({k}) = {table.zbar(k).format_descending()}")
     return "\n".join(lines), table.to_obj()
 
 
@@ -171,10 +219,14 @@ def _build_parser():
     sp.add_argument("--method", choices=("recursion", "enum"), default="recursion")
     sp.add_argument("--budget", type=int, default=families.DEFAULT_FAMILY_BUDGET)
 
-    command("grtable", _grtable, "per-dimension-vector polynomials")
+    sp = command("grtable", _grtable, "per-dimension-vector polynomials")
+    sp.add_argument("--digest", action="store_true",
+                    help="print the sha256 of the table's JSON with sorted keys, not the table")
 
-    sp = command("strata", _strata, "stratum polynomials at fixed e2")
-    sp.add_argument("--e2", type=int, default=None, required=True)
+    sp = command("strata", _strata, "stratum polynomials at fixed e2, or image strata at fixed s")
+    sp.add_argument("--side", choices=("preimage", "image"), default="preimage")
+    sp.add_argument("--e2", type=int, default=None, help="second dimension (preimage side)")
+    sp.add_argument("--s", type=int, default=None, help="first dimension (image side)")
     sp.add_argument("--p", type=int, default=None, help="restrict to one stratum parameter")
     sp.add_argument("--closed", action="store_true", help="use the closed forms (n=6, e2=1)")
 
@@ -217,16 +269,18 @@ def main(argv=None) -> int:
         text, obj = args.run(args)
     except QkronError as exc:
         return _report_error(exc)
-    if args.fmt == "json":
-        doc = json.dumps(obj, indent=2) + "\n"
+    if not isinstance(text, str):  # streamed in the asked format
+        doc = text
+    elif args.fmt == "json":
+        doc = (json.dumps(obj, indent=2), "\n")
     else:
-        doc = text if text.endswith("\n") else text + "\n"
+        doc = (text, "" if text.endswith("\n") else "\n")
     if not args.output:
-        sys.stdout.write(doc)
+        sys.stdout.writelines(doc)
     else:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(doc)
+                fh.writelines(doc)
         except OSError as exc:
             return _report_error(exc)
     # a verify report is written in full before its failure shows in the exit code

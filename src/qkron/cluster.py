@@ -35,10 +35,12 @@ n <= 4 it is direct: X_2^r is the monomial X2^r, and at n = 4, d3 = c_0 = -1.
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from functools import lru_cache
 
-from .errors import BudgetExceeded, ExtractionFailed, NotAPowerSeriesInQr
-from .qlaurent import ONE, QLaurent, _check_rn, _decode, _power, dim_vector
+from .errors import BudgetExceeded, ExtractionFailed, InvalidParameter, NotAPowerSeriesInQr
+from .qlaurent import (ONE, QLaurent, _check_rn, _decode, _digit_width, _digits, _Keys, _live,
+                       _offset_gcd, _pack, _power, _respace, _unpack, dim_vector)
 from .records import Record
 from .torus import TorusElement, _mul_large, _pack_element, left_divide
 
@@ -58,8 +60,10 @@ def xvar_recursive(r: int, n: int) -> TorusElement:
 
 def _step(r: int, n: int, target=None) -> TorusElement:
     """X_n by one exact left division, from the cached X_{n-2} and X_{n-1},
-    or, given a decode target, the quotient as the target keys and decodes
-    it (see ``qlaurent._divide_packed``).  X_{n-1} is packed once, and the
+    or, given a division target, the quotient as the target keys and reads
+    it (see ``qlaurent._divide_packed``); the table target's values are
+    packed records, whose widths bound their coefficients for the cap
+    (see ``_table_target``).  X_{n-1} is packed once, and the
     power is left packed from there to the division: every square and
     every product by X_{n-1} is one ``_mul_large`` of packed term maps.  The
     1 goes in as the entry [1, 0, 0] at the new key (0, 0) (see the module
@@ -79,49 +83,108 @@ def _step(r: int, n: int, target=None) -> TorusElement:
     cur = left_divide(prev2, numerator._replace(target=target))
     if cur.num_terms() > MAX_TERMS:
         raise BudgetExceeded(f"{cur.num_terms()} torus terms exceed the cap of {MAX_TERMS}")
-    if cur.max_coeff_bits() > MAX_COEFF_BITS:
+    if target is None:
+        bits = cur.max_coeff_bits()
+    else:  # a record's digits have at most 8 bits a byte
+        bits = max((8 * rec[3] for rec in cur._t.values()), default=0)
+    if bits > MAX_COEFF_BITS:
         raise BudgetExceeded("coefficient size exceeds the configured cap")
     return cur
 
 
+def _record(t: dict) -> tuple:
+    """A coefficient dict with no negative value as a packed record (value,
+    lo, length, width, step): its digits t[lo + step*i], i < length, as
+    unsigned digits of width bytes.  Packed as signed digits, with their
+    headroom, the nonnegative digits give the same value."""
+    if not t:
+        return 0, 0, 0, 1, 1
+    if min(t.values()) < 0:
+        raise InvalidParameter("a Grassmannian polynomial has no negative coefficient")
+    lo, step = min(t), _offset_gcd({0: t}) or 1
+    length = (max(t) - lo) // step + 1
+    width = _digit_width(max(t.values()))
+    return _pack(t, lo, length, width, step), lo, length, width, step
+
+
+class _Entries(MutableMapping):
+    """(e1, e2) -> P_e as a QLaurent, each held as a packed record of
+    unsigned digits (see ``_record``) and decoded on read.  Every decode
+    keys its exponents from one pool of at most as many ints as the records
+    have digits (see ``qlaurent._Keys``)."""
+
+    __slots__ = ("_recs", "_keys")
+
+    def __init__(self, recs: dict):
+        self._recs = recs
+        self._keys = _Keys(sum(rec[2] for rec in recs.values()))
+
+    def __getitem__(self, key) -> QLaurent:
+        val, lo, length, width, step = self._recs[key]
+        return QLaurent._raw(_unpack(val, lo, length, width, step, False, self._keys))
+
+    def __setitem__(self, key, poly: QLaurent):
+        if key in self._recs:
+            del self[key]
+        self._recs[key] = rec = _record(poly._t)
+        self._keys.cap += rec[2]
+
+    def __delitem__(self, key):
+        self._keys.cap -= self._recs.pop(key)[2]
+
+    def __iter__(self):
+        return iter(self._recs)
+
+    def __len__(self) -> int:
+        return len(self._recs)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class GrTable(Record):
-    """Per-dimension-vector polynomials attached to one cluster variable."""
+    """Per-dimension-vector polynomials attached to one cluster variable:
+    entries maps (e1, e2) to P_e, which has no negative coefficient, held
+    packed and decoded on read."""
 
     __slots__ = ("r", "n", "d1", "d2", "entries")
 
-    def __init__(self, r: int, n: int, d1: int, d2: int, entries: dict | None = None):
+    def __init__(self, r: int, n: int, d1: int, d2: int, entries=None):
         self.r = r
         self.n = n
         self.d1 = d1
         self.d2 = d2
-        self.entries = {} if entries is None else entries  # (e1, e2) -> QLaurent
+        if not isinstance(entries, _Entries):  # a dict (e1, e2) -> QLaurent, packed here
+            entries = _Entries({key: _record(p._t) for key, p in (entries or {}).items()})
+        self.entries = entries
 
     def entry(self, e1: int, e2: int) -> QLaurent:
         return self.entries.get((e1, e2), QLaurent.zero())
 
     def sorted_items(self):
-        return sorted(self.entries.items())
+        """(e, P_e) by ascending e, each decoded as it is reached."""
+        entries = self.entries
+        for key in sorted(entries):
+            yield key, entries[key]
+
+    def entry_objs(self):
+        """The JSON object of each entry, by ascending e, one decode at a time."""
+        for (e1, e2), p in self.sorted_items():
+            yield {"e1": e1, "e2": e2, "poly": p.to_obj()}
 
     def to_obj(self):
-        return {
-            "d1": self.d1,
-            "d2": self.d2,
-            "entries": [
-                {"e1": e1, "e2": e2, "poly": p.to_obj()}
-                for (e1, e2), p in self.sorted_items()
-            ],
-        }
+        return {"d1": self.d1, "d2": self.d2, "entries": list(self.entry_objs())}
 
 
 def gr_table(r: int, n: int) -> GrTable:
     """Extract the Grassmannian polynomials of X_n from the recursion: the
-    last exchange step decodes each quotient term straight into its P_e
-    (see ``_table_target``), so X_n itself is never built."""
+    last exchange step keeps each quotient term packed as its P_e (see
+    ``_table_target``), so X_n itself is never built."""
     _check_rn(r, n)
     if n > 2:
         xvar_recursive(r, n - 1)  # refuses a too-deep chain before dim_vector's O(n) steps
     d1, d2 = dim_vector(r, n)
-    table = GrTable(r, n, d1, d2, _step(r, n, _table_target(r, d1, d2))._t)
+    table = GrTable(r, n, d1, d2, _Entries(_step(r, n, _table_target(r, d1, d2))._t))
     if table.entry(0, 0) != ONE or table.entry(d1, d2) != ONE:
         raise ExtractionFailed("corner entries of the table are not 1")
     return table
@@ -129,16 +192,19 @@ def gr_table(r: int, n: int) -> GrTable:
 
 def _table_target(r: int, d1: int, d2: int):
     """The division target that reads the term of X_n at X1^a X2^b as
-    (e1, e2) -> P_e, k -> (k - prefactor2) / r on its doubled exponents.
+    (e1, e2) -> P_e, k -> (k - prefactor2) / r on its doubled exponents,
+    kept as a packed record (see ``_record``).
 
     Every coefficient lies on prefactor2 + 2rZ, so when the popped entry's
     lo does and the run's stride g is a multiple of 2r (or the entry has one
-    digit) the packed lattice proves every exponent, and the entry is
-    decoded straight to P_e.  Otherwise it is decoded at the run's lattice
-    and checked term by term (``_compress``)."""
+    digit) the packed lattice proves every exponent, and the entry's live
+    digits are P_e's, re-spaced as unsigned digits to the bytes of the
+    largest.  Otherwise it is decoded at the run's lattice, checked term by
+    term (``_compress``) and packed again.  Either way one transient list
+    of the digits gives the sign check and the largest coefficient."""
     r2 = 2 * r
 
-    def decode(a, b, entry, width, g, keys):
+    def read(a, b, entry, width, g):
         if (a + d1) % r or (b + d2) % r:
             raise ExtractionFailed(f"term X1^{a} X2^{b} has non-integral indices")
         e2 = d2 - (a + d1) // r
@@ -146,16 +212,26 @@ def _table_target(r: int, d1: int, d2: int):
         if not (0 <= e1 <= d1 and 0 <= e2 <= d2):
             raise ExtractionFailed(f"recovered ({e1}, {e2}) outside the box")
         prefactor2 = _prefactor2(r, d1, d2, e1, e2)
-        _, lo, hi = entry
-        if lo >= prefactor2 and not (lo - prefactor2) % r2 and (hi == lo or not g % r2):
-            terms = _decode(entry, width, g, prefactor2, r, keys)
+        val, lo, hi = entry
+        proved = lo >= prefactor2 and not (lo - prefactor2) % r2 and (hi == lo or not g % r2)
+        if proved:
+            length = _live(entry, width, g)
+            digits = _digits(val, length, width)
         else:
             terms = _compress(_decode(entry, width, g), prefactor2, r, e1, e2)
-        if min(terms.values()) < 0:
+            digits = terms.values()
+        if min(digits) < 0:
             raise ExtractionFailed(f"negative coefficient at ({e1}, {e2})")
-        return (e1, e2), terms
+        top = max(digits)
+        if not proved:
+            return (e1, e2), _record(terms), top
+        # the digits are nonnegative, so the value is their unsigned packing
+        new = _digit_width(top, False)
+        if new < width and length > 1:
+            val = _respace(val, length, width, new, False)
+        return (e1, e2), (val, (lo - prefactor2) // r, length, new, g // r or 1), top
 
-    return decode
+    return read
 
 
 def _prefactor2(r: int, d1: int, d2: int, e1: int, e2: int) -> int:

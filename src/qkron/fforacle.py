@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import BudgetExceeded, ConstructionFailed, InvalidParameter
 from .qlaurent import _check_rn, _json_field, dim_vector, q_binomial
@@ -164,12 +164,6 @@ def _row_choices(p: int, dim: int, k: int):
                     row = [v + a * p**j for a in range(p) for v in row]
             choices.append(row)
         yield choices
-
-
-def _iter_bases(p: int, dim: int, k: int):
-    """Reduced-echelon bases of k-subspaces of F_p^dim (see ``_row_choices``)."""
-    for choices in _row_choices(p, dim, k):
-        yield from product(*choices)
 
 
 # -- module construction -------------------------------------------------------

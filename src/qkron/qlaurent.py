@@ -206,12 +206,19 @@ def _unpack(val, lo: int, length: int, width: int, step: int = 1, signed: bool =
     return dict(compress(zip(span, digits), digits))
 
 
-def _respace(val, length: int, old: int, new: int):
-    """A value of length signed digits of old bytes each, with every digit
-    moved to new bytes, for digits that fit both widths.  Column by column
-    in C: the bytes of each digit's two's complement below the narrower top
-    byte are kept, a wider digit takes sign bytes (see ``_SIGN``), and the
-    new top byte is flipped back to the balanced digit."""
+def _respace(val, length: int, old: int, new: int, signed: bool = True):
+    """A value of length digits of old bytes each, with every digit moved to
+    new bytes, for digits that fit both widths.  Column by column in C: an
+    unsigned digit is its bytes; of a signed one, the bytes of its two's
+    complement below the narrower top byte are kept, a wider digit takes
+    sign bytes (see ``_SIGN``), and the new top byte is flipped back to the
+    balanced digit."""
+    if not signed:
+        raw = int(val).to_bytes(length * old, "little")
+        out = bytearray(length * new)
+        for j in range(min(old, new)):
+            out[j::new] = raw[j::old]
+        return _mpz(int.from_bytes(out, "little"))
     raw = int(val + _offset(length, old)).to_bytes(length * old, "little")
     top = raw[old - 1 :: old]
     sign = top.translate(_SIGN)
@@ -263,9 +270,15 @@ def _decode(entry, width: int, g: int, shift: int = 0, r: int = 1, keys: _Keys |
     nonzero digit at index k gives |value| > B^k / 2 and the bit length
     keeps it; an overflowed top digit keeps the full length, and
     ``_unpack`` refuses it as before.  keys is the element's key pool."""
+    val, lo, _ = entry
+    return _unpack(val, (lo - shift) // r, _live(entry, width, g), width, g // r or 1, True, keys)
+
+
+def _live(entry, width: int, g: int) -> int:
+    """The digits of a packed entry [value, lo, hi] at stride g that
+    ``_decode`` reads: the span, cut to the top nonzero digit."""
     val, lo, hi = entry
-    length = min((hi - lo) // g + 1, val.bit_length() // (8 * width) + 1)
-    return _unpack(val, (lo - shift) // r, length, width, g // r or 1, True, keys)
+    return min((hi - lo) // g + 1, val.bit_length() // (8 * width) + 1)
 
 
 # -- the pair product -----------------------------------------------------------
@@ -360,7 +373,7 @@ def _pack_terms(t: dict, width: int, g: int) -> dict:
 # A packed term map: the entries {key: [value, lo, hi]} at stride g, each
 # digit of width bytes and of size at most bound, and bound at most a
 # quarter of the digit base, so ``_decode`` is exact.  A numerator may carry
-# the decode target of its division (see ``_divide_packed``).
+# the target that reads its division's quotient (see ``_divide_packed``).
 _Packed = namedtuple("_Packed", "terms width g bound target", defaults=(None,))
 
 
@@ -515,10 +528,11 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
     (g shrinks).
 
     The quotient maps (az, bz) to the coefficient decoded at the run's
-    lattice, or, when n carries a target, target(az, bz, entry, width, g,
-    keys) -> (key, coefficient dict) decodes each popped entry [value, lo,
-    hi].  Every decode of the run keys its exponents from one pool of at
-    most as many ints as n has digits (see ``_Keys``).
+    lattice, each decode keying its exponents from one pool of at most as
+    many ints as n has digits (see ``_Keys``).  When n carries a target,
+    target(az, bz, entry, width, g) -> (key, value, largest |coefficient|)
+    reads each popped entry [value, lo, hi] instead, and the quotient maps
+    each key to its value.
     """
     target = n.target
     (ad, bd), cd = max(d.items())
@@ -526,7 +540,7 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
     width = max(n.width, _division_width(d, n.bound, bound))
     bits = 8 * width
     rem = _entries(n, width, g)
-    keys = _Keys(_spans(rem, g))
+    keys = _Keys(_spans(rem, g)) if target is None else None
     # -d / sign without its leading term, whose product just cancels the popped entry
     terms = _pack_terms({key: {k: -sign * v for k, v in c.items()}
                          for key, c in d.items() if key != (ad, bd)}, width, g)
@@ -547,15 +561,15 @@ def _divide_packed(d: dict, n: _Packed, box, bound: int, g: int):
         lo, hi = lo + sh, hi + sh
         entry = (val if sign > 0 else -val, lo, hi)
         if target is None:
-            key, cz = (az, bz), _decode(entry, width, g, 0, 1, keys)
+            cz = _decode(entry, width, g, 0, 1, keys)
+            key, cz, top = (az, bz), QLaurent._raw(cz), max(map(abs, cz.values()))
         else:
-            key, cz = target(az, bz, entry, width, g, keys)
-        top = max(map(abs, cz.values()))
+            key, cz, top = target(az, bz, entry, width, g)
         if top > bound:
             return None, max(2 * bound, top), g
         if key in quot:
             raise AssertionError("duplicate quotient exponent in left_divide")
-        quot[key] = QLaurent._raw(cz)
+        quot[key] = cz
         try:
             for (a, b), (v, vlo, vhi) in terms.items():
                 sh = -2 * b * az

@@ -89,16 +89,17 @@ class StrataTable(Record):
         return self.zbarprime.get(p, QLaurent.zero())
 
     def to_obj(self):
-        def rows(strata):
-            return [{"p": p, "poly": strata[p].to_obj()} for p in sorted(strata)]
-
         return {
             "e2": self.e2,
             "d1": self.d1,
             "d2": self.d2,
-            "zprime": rows(self.zprime),
-            "zbarprime": rows(self.zbarprime),
+            "zprime": _rows(self.zprime),
+            "zbarprime": _rows(self.zbarprime),
         }
+
+
+def _rows(strata: dict) -> list:
+    return [{"p": p, "poly": strata[p].to_obj()} for p in sorted(strata)]
 
 
 def _pascal_sweep(col) -> list:
@@ -124,14 +125,58 @@ def _strata(col, d1: int):
     return zprime, dict(enumerate(zbar[: d1 + 1]))
 
 
+def _check_index(name: str, x, top: int) -> None:
+    if not _is_int(x):
+        raise InvalidParameter(f"{name} must be an integer, got {x!r}")
+    if not 0 <= x <= top:
+        raise InvalidParameter(f"{name} must lie in 0..{top}, got {x}")
+
+
 def strata_from_gr(table: GrTable, e2: int) -> StrataTable:
     """Invert the Grassmannian column at e2 into stratum polynomials."""
-    if not _is_int(e2):
-        raise InvalidParameter(f"e2 must be an integer, got {e2!r}")
-    if not 0 <= e2 <= table.d2:
-        raise InvalidParameter(f"e2 must lie in 0..{table.d2}, got {e2}")
+    _check_index("e2", e2, table.d2)
     column = [table.entry(e1, e2) for e1 in range(table.d1 + 1)]
     return StrataTable(e2, table.d1, table.d2, *_strata(column, table.d1))
+
+
+class ImageStrataTable(Record):
+    """Open and closed image strata for one fixed s = e1, keyed by k: the U
+    in Gr_s(M_1) whose image sum phi_j(U) has dimension d2 - k, and those
+    whose image has dimension at most d2 - k (``fforacle.count_strata``'s
+    sides z and zbar at p_param = k)."""
+
+    __slots__ = ("s", "d1", "d2", "zimg", "zbarimg")
+
+    def __init__(self, s: int, d1: int, d2: int, zimg: dict, zbarimg: dict):
+        self.s = s
+        self.d1 = d1
+        self.d2 = d2
+        self.zimg = zimg  # k -> QLaurent
+        self.zbarimg = zbarimg
+
+    def z(self, k: int) -> QLaurent:
+        return self.zimg.get(k, QLaurent.zero())
+
+    def zbar(self, k: int) -> QLaurent:
+        return self.zbarimg.get(k, QLaurent.zero())
+
+    def to_obj(self):
+        return {"s": self.s, "d1": self.d1, "d2": self.d2,
+                "zimg": _rows(self.zimg), "zbarimg": _rows(self.zbarimg)}
+
+
+def image_strata_from_gr(table: GrTable, s: int) -> ImageStrataTable:
+    """The image strata of row s, by the preimage sweep on the row reversed.
+
+    A subrepresentation of dimension (s, u) is a U in Gr_s(M_1) and a
+    u-dimensional V containing its image W = sum phi_j(U), so with w =
+    dim W, P_{s,u} = sum_w Zimg(s, w) [d2-w choose u-w]_q.  With k = d2 - w
+    and u' = d2 - u the weight is [k choose u']_q: the preimage transform
+    of the row read backwards, whose index k is image dimension d2 - k.
+    Decodes row s only."""
+    _check_index("s", s, table.d1)
+    row = [table.entry(s, table.d2 - u) for u in range(table.d2 + 1)]
+    return ImageStrataTable(s, table.d1, table.d2, *_strata(row, table.d2))
 
 
 def _dot(row: list, col: list) -> QLaurent:

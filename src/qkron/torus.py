@@ -233,7 +233,7 @@ def left_divide(d: TorusElement, n) -> TorusElement:
     n is a TorusElement, packed here once with its largest |coefficient| as
     the first bound, or a packed term map (``_Packed``, as ``_mul_large``
     returns it from packed operands, the form every recursion step hands
-    over), taken as it is with its digit bound, and with the decode target
+    over), taken as it is with its digit bound, and with the division target
     it may carry: the quotient is then the target's term map (see
     ``_divide_packed``; ``cluster.gr_table`` reads its table so).
     The remainder stays packed (see ``_divide_packed``); a run that cannot

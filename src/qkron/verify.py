@@ -274,6 +274,18 @@ def suite_closedform():
         )
         yield f"closed Grassmannian column vs extraction, r={r}", ok_gr
         yield f"closed strata vs triangular transform, r={r}", ok_zbar
+    # reflection at the source: Z'_(r,n)(e2, p) = Zimg_(r,n-1)(e2, r e2 - p),
+    # and image dimension r e2 - p sits at index k = d2' - (r e2 - p)
+    for r, n in (*BRIDGE_PAIRS, (3, 6), (4, 6)):
+        upper, lower = cluster.gr_table(r, n), cluster.gr_table(r, n - 1)
+        ok, count = True, 0
+        for e2 in range(upper.d2 + 1):
+            pre = {p: z for p, z in strata.strata_from_gr(upper, e2).zprime.items() if z}
+            img = strata.image_strata_from_gr(lower, e2).zimg
+            ok = ok and pre == {r * e2 - lower.d2 + k: z for k, z in img.items() if z}
+            count += len(pre)
+        yield (f"preimage strata at (r={r}, n={n}) are the image strata at n-1",
+               ok, f"{count} nonzero strata")
 
 
 def suite_ffcount():
@@ -321,8 +333,17 @@ def suite_ffstrata():
                                for pp in range(p0, top_p + 1))
                     if fforacle.count_strata(mod, closed, p0, s) != tail:
                         ok_cum = False
+        ok_img = True
+        for s in range(d1 + 1):
+            img = strata.image_strata_from_gr(table, s)
+            for k in range(d2 + 1):
+                if (fforacle.count_strata(mod, "z", k, s) != img.z(k).evaluate(p)
+                        or fforacle.count_strata(mod, "zbar", k, s) != img.zbar(k).evaluate(p)):
+                    ok_img = False
         yield f"stratified sums rebuild counts, (r={r}, n={n}, p={p})", ok_fwd
         yield f"closed strata are tail sums, (r={r}, n={n}, p={p})", ok_cum
+        yield (f"image strata polynomials give the counts, (r={r}, n={n}, p={p})", ok_img,
+               f"{2 * (d1 + 1) * (d2 + 1)} counts")
 
 
 SUITES = {

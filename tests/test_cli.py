@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from qkron import verify
-from qkron.cli import main
+from qkron.cli import _table_json, main
+from qkron.cluster import gr_table
+from qkron.strata import image_strata_from_gr
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +154,92 @@ def test_strata_cli(capsys):
         capsys, "strata", "--r", "4", "--n", "6", "--e2", "1", "--closed", "--p", "0"
     )
     assert code == 0 and "Zbar'(0)" in out
+
+
+@pytest.mark.parametrize("r, n", [(2, 3), (2, 6), (3, 5), (7, 5)])
+def test_grtable_streams_the_rendered_table(tmp_path, capsys, r, n):
+    table = gr_table(r, n)
+    text = "\n".join([f"d1 = {table.d1}, d2 = {table.d2}"] + [
+        f"e=({e1},{e2}): {poly.format_descending()}" for (e1, e2), poly in table.sorted_items()])
+    docs = {"text": text + "\n", "json": json.dumps(table.to_obj(), indent=2) + "\n"}
+    for fmt, doc in docs.items():
+        argv = ["grtable", "--r", str(r), "--n", str(n), "--format", fmt]
+        assert run_cli(capsys, *argv) == (0, doc, "")
+        target = tmp_path / f"{fmt}.out"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == doc
+
+
+@pytest.mark.parametrize("r, n", [(2, 3), (2, 4), (3, 5), (7, 5)])
+def test_table_json_is_the_dumps_of_the_object(r, n):
+    table = gr_table(r, n)
+    obj = table.to_obj()
+    for dump in ({"indent": 2}, {"sort_keys": True}, {}, {"indent": 4, "sort_keys": True}):
+        assert "".join(_table_json(table, **dump)) == json.dumps(obj, **dump), dump
+
+
+@pytest.mark.parametrize("r, n", [(2, 3), (2, 6), (3, 5), (5, 5)])
+def test_grtable_digest_is_the_hash_of_the_sorted_json(capsys, r, n):
+    want = hashlib.sha256(json.dumps(gr_table(r, n).to_obj(), sort_keys=True).encode())
+    want = want.hexdigest()
+    argv = ["grtable", "--r", str(r), "--n", str(n), "--digest"]
+    assert run_cli(capsys, *argv) == (0, want + "\n", "")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out) == {"r": r, "n": n, "sha256": want}
+
+
+@pytest.mark.parametrize("r, n, want", [(4, 6, "c04a63c08fd9bb91"), (3, 7, "10c1f6be5554db44")])
+def test_grtable_digests_past_the_trio(capsys, r, n, want):
+    code, out, _ = run_cli(capsys, "grtable", "--r", str(r), "--n", str(n), "--digest")
+    assert code == 0 and out.startswith(want) and len(out) == 65
+
+
+_SLOW = [pytest.mark.slow, pytest.mark.skipif(
+    os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable")]
+
+
+@pytest.mark.parametrize("r, n, mb", [(4, 6, 45), pytest.param(3, 7, 60, marks=_SLOW)])
+def test_grtable_json_peak_rss(child_vmhwm_kb, r, n, mb):
+    # rendering the whole document at once peaked at 139 MB at (4, 6) and
+    # at 184 MB at (3, 7), to print 10 and 14 MB
+    argv = ["grtable", "--r", str(r), "--n", str(n), "--format", "json"]
+    code = ("import os, sys; from qkron.cli import main; sys.stdout = open(os.devnull, 'w'); "
+            f"main({argv}); sys.stdout = sys.__stdout__")
+    assert child_vmhwm_kb(code) <= mb * 1024
+
+
+def test_image_strata_cli(capsys):
+    img = image_strata_from_gr(gr_table(3, 5), 2)
+    code, out, _ = run_cli(capsys, "strata", "--r", "3", "--n", "5", "--side", "image", "--s", "2")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "s = 2, d1 = 8, d2 = 3" and len(lines) == 9
+    assert lines[3] == f"Z(1)    = {img.z(1).format_descending()}"
+    assert lines[4] == f"Zbar(1) = {img.zbar(1).format_descending()}"
+    code, out, _ = run_cli(capsys, "strata", "--r", "3", "--n", "5", "--side", "image", "--s", "2",
+                           "--p", "1", "--format", "json")
+    want = {"s": 2, "d1": 8, "d2": 3, "zimg": [{"p": 1, "poly": img.z(1).to_obj()}],
+            "zbarimg": [{"p": 1, "poly": img.zbar(1).to_obj()}]}
+    assert code == 0 and json.loads(out) == want
+
+
+_NOT_IMAGE = "--e2 and --closed do not apply to strata --side image"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--side", "image"], "--s is required for strata --side image"),
+    (["--side", "image", "--s", "1", "--e2", "1"], _NOT_IMAGE),
+    (["--side", "image", "--s", "1", "--closed"], _NOT_IMAGE),
+    (["--side", "image", "--s", "9"], "s must lie in 0..8, got 9"),
+    (["--side", "image", "--s", "1", "--p", "4"], "p must lie in 0..3, got 4"),
+    ([], "--e2 is required for strata"),
+    (["--e2", "1", "--s", "1"], "--s applies to strata --side image only"),
+])
+def test_strata_sides_refuse_the_other_sides_arguments(capsys, argv, message):
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "strata", "--r", "3", "--n", "5", *argv, "--format", fmt)
+        assert code == 2
+        assert err == f"error: InvalidParameter: {message}\n"
+        assert json.loads(out) == {"error": "InvalidParameter", "message": message}
 
 
 def test_strata_closed_rejects_r_below_2(capsys):

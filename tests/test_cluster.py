@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,8 @@ from qkron.cluster import (
     xvar_recursive,
 )
 from qkron.errors import BudgetExceeded, ExtractionFailed, InvalidParameter
-from qkron.qlaurent import ONE, QLaurent, c_sequence, q
+from qkron.qlaurent import (ONE, QLaurent, _digit_width, _divide_packed, _pack_terms, _Packed,
+                            c_sequence, q)
 from qkron.strata import closed_gr_m6
 from qkron.torus import TorusElement, left_divide
 from qkron.verify import BRIDGE_PAIRS
@@ -246,6 +248,86 @@ def test_gr_table_holds_no_copy_of_x_n(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 5_500_000, peak
+
+
+def test_a_warm_table_holds_its_entries_packed():
+    # decoded, the P_e of (7, 5) peaked at 3.54 MB beside the division; each
+    # held as one packed record, the peak is the division's own
+    xvar_recursive(7, 4)
+    tracemalloc.start()
+    try:
+        gr_table(7, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+
+
+_SLOW = [pytest.mark.slow, pytest.mark.skipif(
+    os.environ.get("QKRON_SLOW") != "1", reason="set QKRON_SLOW=1 to enable")]
+
+
+@pytest.mark.parametrize("r, n", [pytest.param(5, 6, marks=_SLOW)])
+def test_cold_table_peak_rss(child_vmhwm_kb, r, n):
+    # 1,718,976 coefficients: decoded into the table they peaked at 188 MB
+    code = f"from qkron.cluster import gr_table; gr_table({r}, {n})"
+    assert child_vmhwm_kb(code) <= 120 * 1024
+
+
+def test_each_entry_is_held_at_the_width_of_its_largest_coefficient():
+    table = gr_table(7, 5)
+    for key, (_, lo, length, width, step) in table.entries._recs.items():
+        t = table.entry(*key)._t
+        assert width == _digit_width(max(t.values()), False), key
+        assert (lo, lo + step * (length - 1)) == (min(t), max(t)), key
+
+
+def test_the_coefficient_cap_reads_the_entry_widths(monkeypatch):
+    # an unsigned digit of w bytes has at most 8 w bits
+    widest = max(rec[3] for rec in gr_table(3, 5).entries._recs.values())
+    monkeypatch.setattr(cluster, "MAX_COEFF_BITS", 8 * widest)
+    gr_table(3, 5)
+    monkeypatch.setattr(cluster, "MAX_COEFF_BITS", 8 * widest - 1)
+    with pytest.raises(BudgetExceeded, match="coefficient size"):
+        gr_table(3, 5)
+
+
+# At (2, 4), d = (2, 1): the term at X1^-2 X2^-1 is q^(-1) P_{0,1}(q^2).
+_CORNER = ((-2, -1), cluster._table_target(2, 2, 1), (-2, -2, -1, -1))
+
+
+@pytest.mark.parametrize("g", [1, 4])  # term checks, then the lattice proof
+def test_the_table_target_refuses_a_negative_digit(g):
+    key, target, box = _CORNER
+    n = _Packed(_pack_terms({key: {-2: 1, 2: -1}}, 1, g), 1, g, 1, target)
+    with pytest.raises(ExtractionFailed, match=r"negative coefficient at \(0, 1\)"):
+        _divide_packed({(0, 0): {0: 1}}, n, box, 1, g)
+
+
+@pytest.mark.parametrize("g", [1, 4])
+def test_the_table_target_refuses_a_digit_over_the_bound(g):
+    key, target, box = _CORNER
+    n = _Packed(_pack_terms({key: {-2: 3, 2: 1}}, 1, g), 1, g, 3, target)
+    # the run stops and asks for a bound of at least the digit it read
+    assert _divide_packed({(0, 0): {0: 1}}, n, box, 1, g) == (None, 3, g)
+    quot, _, _ = _divide_packed({(0, 0): {0: 1}}, n, box, 3, g)
+    assert GrTable(2, 4, 2, 1, cluster._Entries(quot)).entries == {(0, 1): 3 + q}
+
+
+def test_entries_read_and_write_polynomials():
+    t = GrTable(2, 4, 2, 1, {(0, 0): ONE, (1, 1): 1 + q})
+    t.entries[(1, 1)] = 3 + 255 * q**5  # stored packed, 255 at its full byte
+    t.entries[(2, 1)] = QLaurent.zero()
+    t.entries[(0, 1)] = QLaurent({-3: 2**70, 1: 1})
+    del t.entries[(0, 0)]
+    assert t.entries == {(1, 1): 3 + 255 * q**5, (2, 1): 0, (0, 1): QLaurent({-3: 2**70, 1: 1})}
+    assert t.entry(0, 0) == 0 and t.entry(1, 1) == 3 + 255 * q**5
+    assert t.entries._keys.cap == sum(rec[2] for rec in t.entries._recs.values())
+    assert [key for key, _ in t.sorted_items()] == [(0, 1), (1, 1), (2, 1)]
+    with pytest.raises(InvalidParameter, match="no negative coefficient"):
+        t.entries[(1, 1)] = 3 - q
+    with pytest.raises(InvalidParameter, match="no negative coefficient"):
+        GrTable(2, 4, 2, 1, {(0, 0): -ONE})
 
 
 # the instances whose tables the slope and constant-term tests read

@@ -304,18 +304,6 @@ def test_cold_scan_peak_with_shared_keys():
     assert _cold_traced_peak(3, 7) < 16e6
 
 
-def _child_vmhwm_kb(code):
-    """The peak RSS (VmHWM, kB) of a fresh interpreter that runs code.  The
-    child's ru_maxrss would include the peak of this process, which it
-    inherits across fork and exec, so the child reads its own VmHWM."""
-    code += ("; print(next(line.split()[1] for line in open('/proc/self/status') "
-             "if line.startswith('VmHWM:')))")
-    env = {**os.environ, "PYTHONPATH": str(Path(families.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=600)
-    return int(out.stdout)
-
-
 @pytest.mark.parametrize("r, n", [pytest.param(5, 6, marks=_SLOW)])
 def test_scan_peak_rss(r, n):
     # a scan that kept every state until the root peaked at 1.27 GB at (5, 6),
@@ -335,18 +323,18 @@ def test_scan_peak_rss(r, n):
 
 
 @pytest.mark.parametrize("r, n", [pytest.param(5, 6, marks=_SLOW)])
-def test_scan_peak_rss_with_shared_keys(r, n):
+def test_scan_peak_rss_with_shared_keys(child_vmhwm_kb, r, n):
     # 1,718,976 coefficients: a new int key for each of them took the
     # peak to 233 MB
     code = f"from qkron.families import xvar_enum; xvar_enum({r}, {n}, budget=None)"
-    assert _child_vmhwm_kb(code) <= 200 * 1024
+    assert child_vmhwm_kb(code) <= 200 * 1024
 
 
 @pytest.mark.parametrize("r, n", [pytest.param(4, 6, marks=_SLOW)])
-def test_recursion_peak_rss_with_shared_keys(r, n):
+def test_recursion_peak_rss_with_shared_keys(child_vmhwm_kb, r, n):
     # route 1's X_6 at r = 4: 30.5 MB with a new int key per coefficient
     code = f"from qkron.cluster import xvar_recursive; xvar_recursive({r}, {n})"
-    assert _child_vmhwm_kb(code) <= 29 * 1024
+    assert child_vmhwm_kb(code) <= 29 * 1024
 
 
 def _walked_blk(path, lo, is_red, hi):

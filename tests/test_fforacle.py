@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import product
 
 import pytest
 
@@ -11,9 +12,9 @@ from qkron.fforacle import (
     ALLOWED_PRIMES,
     FFModule,
     _image_dim_hist,
-    _iter_bases,
     _preimage_dim_hist,
     _rank,
+    _row_choices,
     _row_table,
     build_module,
     count_gr,
@@ -282,7 +283,7 @@ def test_image_strata_match_brute_force():
             continue
         for s in range(mod.d1 + 1):
             hist = {}
-            for basis in _iter_bases(p, mod.d1, s):
+            for basis in (basis for rows in _row_choices(p, mod.d1, s) for basis in product(*rows)):
                 image = [
                     [sum(phi[i][j] * b[j] for j in range(mod.d1)) for i in range(mod.d2)]
                     for b in (_digits(w, p, mod.d1) for w in basis)

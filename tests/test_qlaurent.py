@@ -463,6 +463,23 @@ def test_codec_respace_matches_a_fresh_pack(case, stub):
         assert qlmod._unpack(val, 0, len(digits), new) == t
 
 
+@given(st.integers(1, 24), st.integers(1, 24), st.data())
+def test_codec_respace_moves_unsigned_digits(old, new, data):
+    from qkron.qlaurent import _respace, _unpack
+
+    # digits that fill the narrower width, its edges and zeros among them
+    top = 256 ** min(old, new) - 1
+    digit = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    digits = data.draw(st.lists(digit, min_size=1, max_size=40))
+
+    def packed(width):
+        return sum(d << (8 * width * i) for i, d in enumerate(digits))
+
+    val = _respace(packed(old), len(digits), old, new, False)
+    assert val == packed(new)
+    assert _unpack(val, 0, len(digits), new, 1, False) == {i: d for i, d in enumerate(digits) if d}
+
+
 def test_unsigned_digit_width_is_the_bytes_of_its_bound():
     from qkron.qlaurent import _digit_width
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from qkron import strata, verify
 from qkron.cluster import gr_table
 from qkron.errors import InvalidParameter
+from qkron.fforacle import build_module, count_strata
 from qkron.qlaurent import ONE, QLaurent, mat_mul, q, q_binomial
 from qkron.strata import (
     StrataTable,
@@ -16,6 +17,7 @@ from qkron.strata import (
     closed_zbar_m6,
     euler_char,
     gr_from_strata,
+    image_strata_from_gr,
     q_binomial_matrix,
     strata_from_gr,
     transform_matrix,
@@ -328,3 +330,65 @@ def test_binomial_columns_sweep_to_unit_vectors():
     for j in range(size):
         zprime, _ = _strata([mat[i][j] for i in range(size)], size - 1)
         assert zprime == {p: ONE if p == j else QLaurent.zero() for p in range(size)}
+
+
+@pytest.mark.parametrize("r, n", [(2, 6), (3, 5), (4, 5), (3, 6)])
+def test_image_strata_rebuild_the_rows(r, n):
+    # P_{s,u} = sum_w Zimg(s, w) [d2-w choose u-w]_q, w = d2 - k the image dimension
+    table = gr_table(r, n)
+    d2 = table.d2
+    for s in range(table.d1 + 1):
+        img = image_strata_from_gr(table, s)
+        assert img.zbar(0) == sum((img.z(k) for k in range(d2 + 1)), QLaurent.zero())
+        for u in range(d2 + 1):
+            rebuilt = sum((q_binomial(k, d2 - u) * img.z(k) for k in range(d2 + 1)),
+                          QLaurent.zero())
+            assert rebuilt == table.entry(s, u), (s, u)
+
+
+def test_image_strata_match_the_point_counts():
+    for r, n, p in [(2, 6, 3), (3, 5, 2), (4, 5, 2), (2, 8, 2)]:
+        mod = build_module(p, r, n)
+        table = gr_table(r, n)
+        for s in range(table.d1 + 1):
+            img = image_strata_from_gr(table, s)
+            for k in range(table.d2 + 1):
+                assert count_strata(mod, "z", k, s) == img.z(k).evaluate(p), (r, n, p, s, k)
+                assert count_strata(mod, "zbar", k, s) == img.zbar(k).evaluate(p)
+
+
+def test_the_strata_suites_hold():
+    # closedform carries the reflection identity on BRIDGE_PAIRS, (3, 6) and
+    # (4, 6); ffstrata the image strata against every FF_CONFIGS entry
+    for name in ("closedform", "ffstrata"):
+        checks = verify.run_suite(name)
+        assert all(c.ok for c in checks), [c.label for c in checks if not c.ok]
+    labels = [c.label for c in verify.run_suite("closedform")]
+    assert sum("image strata at n-1" in label for label in labels) == len(verify.BRIDGE_PAIRS) + 2
+
+
+def test_each_sweep_decodes_one_line_of_the_table(monkeypatch):
+    from qkron import cluster
+
+    table, decoded = gr_table(4, 5), []
+    unpack = cluster._unpack
+
+    def spy(val, lo, *rest):
+        decoded.append(val)
+        return unpack(val, lo, *rest)
+
+    monkeypatch.setattr(cluster, "_unpack", spy)
+    strata_from_gr(table, 2)
+    assert 0 < len(decoded) <= table.d1 + 1
+    decoded.clear()
+    image_strata_from_gr(table, 3)
+    assert 0 < len(decoded) <= table.d2 + 1
+
+
+def test_image_strata_invalid_s():
+    table = gr_table(2, 5)
+    with pytest.raises(InvalidParameter, match=r"^s must lie in 0\.\.3, got 4$"):
+        image_strata_from_gr(table, 4)
+    for s in (True, 0.5, "1", None):
+        with pytest.raises(InvalidParameter, match="s must be an integer"):
+            image_strata_from_gr(table, s)
